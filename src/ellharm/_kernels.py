@@ -1,26 +1,14 @@
-"""Hot kernels for the dense boundary-element oracle.
+"""Hot kernel for the dense boundary-element oracle.
 
 The O(N^2) influence-matrix assembly dominates the BEM runtime and memory
-traffic.  A numba-compiled version is used when available; setting the
-environment variable ELLHARM_NO_NUMBA (to any value) forces the pure-numpy
-fallback, which processes the matrix in row blocks to avoid N x N x 3
-temporaries.
+traffic.  It is processed in row blocks to avoid N x N x 3 temporaries.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_AVAILABLE = False
-if not os.environ.get("ELLHARM_NO_NUMBA"):
-    try:
-        import numba
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_AVAILABLE = False
+NUMBA_AVAILABLE = False   # the perfbench environment block records it
 
 
 def _assemble_numpy(cen, nrm, area, diag_val, block=256):
@@ -40,32 +28,8 @@ def _assemble_numpy(cen, nrm, area, diag_val, block=256):
     return A
 
 
-if NUMBA_AVAILABLE:
-
-    @numba.njit(cache=True, fastmath=True)
-    def _assemble_numba(cen, nrm, area, diag_val):
-        n = cen.shape[0]
-        A = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            nx, ny, nz = nrm[i, 0], nrm[i, 1], nrm[i, 2]
-            cx, cy, cz = cen[i, 0], cen[i, 1], cen[i, 2]
-            for j in range(n):
-                if j == i:
-                    A[i, j] = diag_val
-                    continue
-                dx = cx - cen[j, 0]
-                dy = cy - cen[j, 1]
-                dz = cz - cen[j, 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                inv_r3 = 1.0 / (r2 * np.sqrt(r2))
-                A[i, j] = (nx * dx + ny * dy + nz * dz) * inv_r3 * area[j]
-        return A
-
-
 def assemble_influence_matrix(cen, nrm, area, diag_val):
     cen = np.ascontiguousarray(cen, dtype=np.float64)
     nrm = np.ascontiguousarray(nrm, dtype=np.float64)
     area = np.ascontiguousarray(area, dtype=np.float64)
-    if NUMBA_AVAILABLE:
-        return _assemble_numba(cen, nrm, area, float(diag_val))
     return _assemble_numpy(cen, nrm, area, float(diag_val))

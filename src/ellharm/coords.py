@@ -56,7 +56,7 @@ class EllipsoidSystem:
         return self.k * self.k
 
     def key(self):
-        """Hashable identity for memoization."""
+        """Hashable identity of the geometry."""
         return (self.a, self.b, self.c)
 
 

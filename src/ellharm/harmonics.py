@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
-from .errors import NonConvergence, OrderOutOfRange, OrderingViolation
+from .errors import (NonConvergence, OrderOutOfRange, OrderingViolation,
+                     ValidationError)
 from .lame1 import (N_MAX_DEFAULT, eval_lame, eval_lame_condition,
                     lame_function, psi_exponents)
-from .lame2 import eval_I, surface_I
+from .lame2 import eval_I, surface_values
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "NormalizationTable",
     "CoulombExpansion",
     "interior_solid",
+    "interior_matrix",
     "exterior_solid",
     "surface_harmonic",
     "gamma",
@@ -70,22 +72,32 @@ def _fn(sys: EllipsoidSystem, idx: HarmonicIndex):
     return lame_function(sys, idx.n, idx.p, n_max=max(idx.n, N_MAX_DEFAULT))
 
 
+def interior_matrix(functions, points) -> np.ndarray:
+    """E3 of every function at every point, as a (points, functions) array.
+
+    Each entry is the triple product E(lam) E(mu) E(nu), in that order, so it
+    equals the scalar evaluation bit for bit.
+    """
+    coords = np.array([(pt.lam, pt.mu, pt.nu, pt.s_mu, pt.s_nu) for pt in points],
+                      dtype=float).reshape(-1, 5).T
+    s, sm, sn = coords[:3], coords[3], coords[4]
+    out = np.empty((s.shape[1], len(functions)))
+    for j, f in enumerate(functions):
+        E = eval_lame(f, s, sm, sn)
+        out[:, j] = E[0] * E[1] * E[2]
+    return out
+
+
 def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """E3_n^p at the point: triple product of first-kind evaluations."""
-    f = _fn(sys, idx)
-    sm, sn = point.s_mu, point.s_nu
-    return (eval_lame(f, point.lam, sm, sn)
-            * eval_lame(f, point.mu, sm, sn)
-            * eval_lame(f, point.nu, sm, sn))
+    return float(interior_matrix([_fn(sys, idx)], [point])[0, 0])
 
 
 def exterior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint, rel_tol: float = 1e-10) -> float:
     """F3_n^p at an exterior point (|lambda| > k required by eval_I)."""
-    f = _fn(sys, idx)
-    lam = abs(point.lam)
-    I = surface_I(f, rel_tol) if lam == sys.a else eval_I(f, lam, rel_tol)
+    I = eval_I(_fn(sys, idx), abs(point.lam), rel_tol)
     return (2 * idx.n + 1) * interior_solid(sys, idx, point) * I
 
 
@@ -98,16 +110,16 @@ def surface_harmonic(sys: EllipsoidSystem, idx: HarmonicIndex,
 
 
 def _gamma_fixed_order(sys: EllipsoidSystem, f, order: int) -> float:
-    """Octant integral at a fixed tensor Gauss-Legendre order, times 8."""
-    phi, wphi = gauss_legendre(order, 0.0, math.pi / 2.0)
-    theta, wtheta = gauss_legendre(order, 0.0, math.pi / 2.0)
-    mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(phi) ** 2)
-    nu = sys.h * np.sin(theta)
+    """Octant integral at a fixed tensor Gauss-Legendre order, times 8; one
+    rule on [0, pi/2] serves both angles."""
+    x, w = gauss_legendre(order, 0.0, math.pi / 2.0)
+    mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(x) ** 2)
+    nu = sys.h * np.sin(x)
     Emu = eval_lame(f, mu)
     Enu = eval_lame(f, nu)
     M2 = mu[:, None] ** 2
     N2 = nu[None, :] ** 2
-    W = np.outer(wphi / mu, wtheta / np.sqrt(sys.k2 - nu ** 2))
+    W = np.outer(w / mu, w / np.sqrt(sys.k2 - nu ** 2))
     core = (Emu[:, None] ** 2) * (Enu[None, :] ** 2) * (M2 - N2) * W
     return 8.0 * float(np.sum(core))
 
@@ -135,10 +147,15 @@ def gamma(sys: EllipsoidSystem, idx: HarmonicIndex,
 
 @dataclass(frozen=True)
 class NormalizationTable:
+    """Everything computed once per geometry, keyed by (n, p) for n <= N:
+    the Lame functions, gamma and E, E', F, F' at lambda = a."""
+
     system: EllipsoidSystem
     gamma: dict            # (n, p) -> value
     quadrature_order: int
     error_estimates: dict  # (n, p) -> order-doubling relative change
+    functions: dict        # (n, p) -> LameFunction
+    surface: dict          # (n, p) -> (E, E', F, F') at lambda = a
 
     def __getitem__(self, np_pair):
         return self.gamma[np_pair]
@@ -146,15 +163,28 @@ class NormalizationTable:
 
 def build_normalization_table(sys: EllipsoidSystem, N: int,
                               quad_order: int = GAMMA_ORDER_DEFAULT) -> NormalizationTable:
-    gam = {}
-    errs = {}
+    fns, gam, errs, surf = {}, {}, {}, {}
     for n in range(N + 1):
         for p in range(1, 2 * n + 2):
-            v, e = gamma(sys, HarmonicIndex(n, p), quad_order, with_error=True)
-            gam[(n, p)] = v
-            errs[(n, p)] = e
-    return NormalizationTable(system=sys, gamma=gam,
-                              quadrature_order=quad_order, error_estimates=errs)
+            idx = HarmonicIndex(n, p)
+            gam[(n, p)], errs[(n, p)] = gamma(sys, idx, quad_order, with_error=True)
+            fns[(n, p)] = f = _fn(sys, idx)
+            surf[(n, p)] = surface_values(f)
+    return NormalizationTable(system=sys, gamma=gam, quadrature_order=quad_order,
+                              error_estimates=errs, functions=fns, surface=surf)
+
+
+def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | None):
+    """``table`` after checking that it was built for ``sys`` and reaches
+    degree N (a new table when it is None), and its (n, p) keys up to N."""
+    if table is None:
+        table = build_normalization_table(sys, N)
+    elif table.system != sys:
+        raise ValidationError(
+            f"table built for semiaxes {table.system.key()}, used for {sys.key()}")
+    elif (N, 1) not in table.gamma:
+        raise OrderOutOfRange(f"table does not reach degree N={N}")
+    return table, [(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)]
 
 
 @dataclass
@@ -215,8 +245,10 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
     if abs(fld.lam) <= abs(src.lam):
         raise OrderingViolation(
             f"field |lambda|={abs(fld.lam)} must exceed source |lambda|={abs(src.lam)}")
-    if table is None:
-        table = build_normalization_table(sys, N)
+    table, keys = _checked_table(sys, N, table)
+    fns = [table.functions[key] for key in keys]
+    E3_src, E3_fld = (dict(zip(keys, row))
+                      for row in interior_matrix(fns, [src, fld]).tolist())
 
     terms = {}
     diagnostics = {}
@@ -226,14 +258,14 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
     for n in range(N + 1):
         max_amp = 0.0
         for p in range(1, 2 * n + 2):
-            idx = HarmonicIndex(n, p)
+            f = table.functions[(n, p)]
             g = table.gamma[(n, p)]
-            E3 = interior_solid(sys, idx, src)
-            F3 = exterior_solid(sys, idx, fld, rel_tol=rel_tol)
+            E3 = E3_src[(n, p)]
+            F3 = (2 * n + 1) * E3_fld[(n, p)] * eval_I(f, abs(fld.lam), rel_tol)
             pref = 4.0 * math.pi / (2 * n + 1) / g
             term = pref * E3 * F3
             total += term
-            amp = _rounding_amplification(_fn(sys, idx), src, fld)
+            amp = _rounding_amplification(f, src, fld)
             max_amp = max(max_amp, amp)
             terms[(n, p)] = term
             diagnostics[(n, p)] = {

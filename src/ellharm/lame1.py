@@ -25,8 +25,6 @@ coordinate roles.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,19 +166,11 @@ class LameFunction:
         return self.cls.n
 
 
-_memo: dict = {}
-_memo_lock = threading.Lock()
-
-
 def lame_function(sys: EllipsoidSystem, n: int, p: int,
                   n_max: int = N_MAX_DEFAULT) -> LameFunction:
-    """Construct (or fetch from the per-system memo) the function E_n^p."""
+    """Construct the function E_n^p by solving its class eigenproblem."""
     if n > n_max:
         raise OrderOutOfRange(f"degree n={n} exceeds configured maximum {n_max}")
-    key = (sys.key(), n, p)
-    f = _memo.get(key)
-    if f is not None:
-        return f
     cls = class_of(n, p)
     spec = build_tridiagonal(sys, cls)
     pairs = solve_tridiagonal(spec)
@@ -190,10 +180,7 @@ def lame_function(sys: EllipsoidSystem, n: int, p: int,
     # normalize so the coefficient of s^n in psi * P equals 1: the top basis
     # element contributes b_{m-1} * (-1/h^2)^{m-1} * s^{2(m-1)} * psi
     b *= (-sys.h2) ** (m - 1) / b[m - 1]
-    f = LameFunction(system=sys, cls=cls, coeffs=b, separation_constant=pconst)
-    with _memo_lock:
-        _memo[key] = f
-    return f
+    return LameFunction(system=sys, cls=cls, coeffs=b, separation_constant=pconst)
 
 
 def _psi_factors(f: LameFunction, s, s_mu_sign, s_nu_sign, need_deriv):

@@ -17,14 +17,13 @@ The derivative needs no quadrature:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .errors import NonConvergence, SingularLowerLimit
 from .lame1 import LameFunction, eval_lame, eval_lame_derivative
 from .numerics import adaptive_quad
 
-__all__ = ["SecondKindEval", "eval_I", "eval_F"]
+__all__ = ["SecondKindEval", "eval_I", "eval_F", "surface_I", "surface_values"]
 
 _NEAR_SINGULAR_FACTOR = 1.01   # lam below this multiple of k gets the cosh head
 _SPLIT_FACTOR = 1.05           # head/tail split point as a multiple of k
@@ -82,29 +81,28 @@ def eval_I(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> float:
     return total + res.value
 
 
-_surface_memo: dict = {}
-_surface_lock = threading.Lock()
-
-
 def surface_I(f: LameFunction, rel_tol: float = 1e-10) -> float:
-    """I_n^p(a), memoized per system and index (dominates the solvation solve)."""
-    key = (f.system.key(), f.n, f.cls.tag, f.cls.p_local)
-    v = _surface_memo.get(key)
-    if v is None:
-        v = eval_I(f, f.system.a, rel_tol=rel_tol)
-        with _surface_lock:
-            _surface_memo[key] = v
-    return v
+    """I_n^p(a), the integral on the ellipsoid's own surface."""
+    return eval_I(f, f.system.a, rel_tol=rel_tol)
+
+
+def surface_values(f: LameFunction, rel_tol: float = 1e-10):
+    """E, E', F, F' at lambda = a (positive-octant signs)."""
+    sys = f.system
+    E, dE = eval_lame_derivative(f, sys.a)
+    I = surface_I(f, rel_tol)
+    # at lambda = a: sqrt(a^2 - k^2) = c, sqrt(a^2 - h^2) = b
+    dI = -1.0 / (E * E * sys.b * sys.c)
+    F = (2 * f.n + 1) * E * I
+    dF = (2 * f.n + 1) * (dE * I + E * dI)
+    return E, dE, F, dF
 
 
 def eval_F(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> SecondKindEval:
     """F, I and their lambda-derivatives at lam > k."""
     sys = f.system
     n = f.n
-    if lam == sys.a:
-        I = surface_I(f, rel_tol=rel_tol)
-    else:
-        I = eval_I(f, lam, rel_tol=rel_tol)
+    I = eval_I(f, lam, rel_tol=rel_tol)
     E, dE = eval_lame_derivative(f, lam)
     dI = -1.0 / (E * E * math.sqrt(lam * lam - sys.k2)
                  * math.sqrt(lam * lam - sys.h2))

@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, ResonantDenominator
-from .harmonics import (HarmonicIndex, NormalizationTable,
-                        build_normalization_table, interior_solid)
-from .lame1 import N_MAX_DEFAULT, eval_lame_derivative, lame_function
-from .lame2 import surface_I
+from .harmonics import NormalizationTable, _checked_table, interior_matrix
+from .lame1 import N_MAX_DEFAULT, lame_function
 
 __all__ = [
     "PointCharge",
@@ -96,48 +96,37 @@ def _check_interior(sys: EllipsoidSystem, charges):
                 f"charge at {ch.position} not strictly inside the ellipsoid")
 
 
+def _interior_terms(sys: EllipsoidSystem, charges, N: int,
+                    table: NormalizationTable | None):
+    """The table, its keys, the charges' E3 matrix (charges x keys) and the
+    source coefficients G as an array over the keys."""
+    _check_interior(sys, charges)
+    table, keys = _checked_table(sys, N, table)
+    E3 = interior_matrix([table.functions[key] for key in keys],
+                         [cart_to_ell(sys, *ch.position) for ch in charges])
+    pref = np.array([4.0 * math.pi / (2 * n + 1) / table.gamma[(n, p)]
+                     for n, p in keys])
+    G = pref * (np.array([ch.q for ch in charges], dtype=float) @ E3)
+    return table, keys, E3, G
+
+
 def source_coefficients(sys: EllipsoidSystem, charges, N: int,
                         table: NormalizationTable | None = None) -> dict:
     """G_n^p for all (n <= N, p)."""
-    _check_interior(sys, charges)
-    if table is None:
-        table = build_normalization_table(sys, N)
-    pts = [cart_to_ell(sys, *ch.position) for ch in charges]
-    G = {}
-    for n in range(N + 1):
-        for p in range(1, 2 * n + 2):
-            idx = HarmonicIndex(n, p)
-            pref = 4.0 * math.pi / (2 * n + 1) / table.gamma[(n, p)]
-            G[(n, p)] = pref * sum(
-                ch.q * interior_solid(sys, idx, pt)
-                for ch, pt in zip(charges, pts))
-    return G
+    _, keys, _, G = _interior_terms(sys, charges, N, table)
+    return dict(zip(keys, G.tolist()))
 
 
-def _surface_values(sys: EllipsoidSystem, n: int, p: int):
-    """E, E', F, F' at lambda = a (positive-octant signs; the ratios used in
-    the reaction coefficients are octant independent)."""
-    f = lame_function(sys, n, p, n_max=max(n, N_MAX_DEFAULT))
-    a = sys.a
-    E, dE = eval_lame_derivative(f, a)
-    I = surface_I(f)
-    # at lambda = a: sqrt(a^2 - k^2) = c, sqrt(a^2 - h^2) = b
-    dI = -1.0 / (E * E * sys.b * sys.c)
-    F = (2 * n + 1) * E * I
-    dF = (2 * n + 1) * (dE * I + E * dI)
-    return E, dE, F, dF
-
-
-def reaction_coefficients(G: dict, sys: EllipsoidSystem,
-                          diel: DielectricModel) -> dict:
+def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
+                          table: NormalizationTable | None = None) -> dict:
     """B_n^p from G_n^p; identically zero when eps1 == eps2."""
     e1, e2 = diel.eps1, diel.eps2
+    if e1 == e2:
+        return dict.fromkeys(G, 0.0)
+    table, _ = _checked_table(sys, max(n for n, _ in G), table)
     B = {}
     for (n, p), g in G.items():
-        if e1 == e2:
-            B[(n, p)] = 0.0
-            continue
-        E, dE, F, dF = _surface_values(sys, n, p)
+        E, dE, F, dF = table.surface[(n, p)]
         denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
         if abs(denom) < 1e-12:
             raise ResonantDenominator(
@@ -147,11 +136,13 @@ def reaction_coefficients(G: dict, sys: EllipsoidSystem,
 
 
 def exterior_coefficients(G: dict, B: dict, sys: EllipsoidSystem,
-                          diel: DielectricModel) -> dict:
+                          diel: DielectricModel,
+                          table: NormalizationTable | None = None) -> dict:
     """C_n^p = G_n^p / eps1 + B_n^p E(a)/F(a)."""
+    table, _ = _checked_table(sys, max(n for n, _ in G), table)
     C = {}
     for (n, p), g in G.items():
-        E, _, F, _ = _surface_values(sys, n, p)
+        E, _, F, _ = table.surface[(n, p)]
         C[(n, p)] = g / diel.eps1 + B[(n, p)] * E / F
     return C
 
@@ -159,33 +150,29 @@ def exterior_coefficients(G: dict, B: dict, sys: EllipsoidSystem,
 def expansion_coefficients(sys: EllipsoidSystem, charges, diel: DielectricModel,
                            N: int, table: NormalizationTable | None = None
                            ) -> ExpansionCoefficients:
+    table, _ = _checked_table(sys, N, table)
     G = source_coefficients(sys, charges, N, table=table)
-    B = reaction_coefficients(G, sys, diel)
-    C = exterior_coefficients(G, B, sys, diel)
+    B = reaction_coefficients(G, sys, diel, table=table)
+    C = exterior_coefficients(G, B, sys, diel, table=table)
     return ExpansionCoefficients(N=N, G=G, B=B, C=C)
 
 
 def reaction_potential(sys: EllipsoidSystem, B: dict, point) -> float:
     """psi(r) = sum B_n^p E3_n^p(r) at an interior Cartesian point."""
-    pt = cart_to_ell(sys, *point)
-    psi = 0.0
-    for (n, p) in sorted(B):
-        psi += B[(n, p)] * interior_solid(sys, HarmonicIndex(n, p), pt)
-    return psi
+    keys = sorted(B)
+    fns = [lame_function(sys, n, p, n_max=max(n, N_MAX_DEFAULT)) for n, p in keys]
+    E3 = interior_matrix(fns, [cart_to_ell(sys, *point)])[0]
+    return float(E3 @ np.array([B[key] for key in keys]))
 
 
 def solvation_energy(sys: EllipsoidSystem, charges, diel: DielectricModel,
                      N: int = N_MAX_DEFAULT,
                      table: NormalizationTable | None = None) -> EnergyReport:
-    """Solvation free energy (1/2) sum_k q_k psi(r_k)."""
-    coeffs = expansion_coefficients(sys, charges, diel, N, table=table)
-    pts = [cart_to_ell(sys, *ch.position) for ch in charges]
-    energy = 0.0
-    for ch, pt in zip(charges, pts):
-        psi = 0.0
-        for (n, p) in sorted(coeffs.B):
-            psi += coeffs.B[(n, p)] * interior_solid(sys, HarmonicIndex(n, p), pt)
-        energy += 0.5 * ch.q * psi
+    """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) q^T E3 B."""
+    table, keys, E3, G = _interior_terms(sys, charges, N, table)
+    B = reaction_coefficients(dict(zip(keys, G.tolist())), sys, diel, table=table)
+    q = np.array([ch.q for ch in charges], dtype=float)
+    energy = 0.5 * float(q @ (E3 @ np.array([B[key] for key in keys])))
     return EnergyReport(energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                         energy_gaussian=energy, N=N)
 

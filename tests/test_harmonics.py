@@ -9,8 +9,8 @@ from ellharm.coords import cart_to_ell
 from ellharm.errors import OrderOutOfRange, OrderingViolation
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                build_normalization_table, coulomb_expand,
-                               exterior_solid, gamma, interior_solid,
-                               surface_harmonic)
+                               exterior_solid, gamma, interior_matrix,
+                               interior_solid, surface_harmonic)
 from ellharm.lame1 import build_tridiagonal, class_of, eval_lame, lame_function
 
 
@@ -32,6 +32,24 @@ def test_interior_dipoles_proportional_to_cartesians(sys215):
         for p, cart in zip((1, 2, 3), xyz):
             v = interior_solid(sys215, HarmonicIndex(1, p), pt)
             assert v == pytest.approx(consts[p] * cart, rel=1e-9, abs=1e-12)
+
+
+def test_interior_matrix_matches_scalar_triple_product(sys215):
+    # every octant, and points on each coordinate plane, where nu = 0 or
+    # mu = h or the radical factors change sign
+    base = [(0.7, 0.5, 0.3), (0.0, 0.6, 0.4), (0.8, 0.0, 0.3), (0.6, 0.5, 0.0)]
+    signs = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    pts = [cart_to_ell(sys215, sx * x, sy * y, sz * z)
+           for x, y, z in base for sx, sy, sz in signs]
+    fns = [lame_function(sys215, n, p) for n in range(13) for p in range(1, 2 * n + 2)]
+    E3 = interior_matrix(fns, pts)
+    assert E3.shape == (len(pts), len(fns))
+    for i, pt in enumerate(pts):
+        for j, f in enumerate(fns):
+            ref = (eval_lame(f, pt.lam, pt.s_mu, pt.s_nu)
+                   * eval_lame(f, pt.mu, pt.s_mu, pt.s_nu)
+                   * eval_lame(f, pt.nu, pt.s_mu, pt.s_nu))
+            assert E3[i, j] == ref, (i, f.n, f.cls)
 
 
 def test_interior_harmonicity(sys215):

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from ellharm import _kernels
 
@@ -31,26 +26,6 @@ def test_numpy_assembly_matches_direct_loop():
             r = np.linalg.norm(d)
             B[i, j] = nrm[i] @ d / r ** 3 * area[j]
     assert np.allclose(A, B, rtol=1e-13, atol=1e-13)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba disabled")
-def test_numba_matches_numpy():
-    cen, nrm, area = _random_panels(300, seed=3)
-    A = _kernels._assemble_numba(cen, nrm, area, -1.25)
-    B = _kernels._assemble_numpy(cen, nrm, area, -1.25)
-    assert np.allclose(A, B, rtol=1e-12, atol=1e-12)
-
-
-def test_env_flag_forces_numpy_fallback():
-    code = (
-        "from ellharm import _kernels; import numpy as np;"
-        "assert not _kernels.NUMBA_AVAILABLE;"
-        "cen = np.eye(3); nrm = np.eye(3); area = np.ones(3);"
-        "A = _kernels.assemble_influence_matrix(cen, nrm, area, 2.0);"
-        "assert A.shape == (3, 3) and A[0, 0] == 2.0"
-    )
-    env = dict(os.environ, ELLHARM_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_dispatcher_accepts_noncontiguous_input():

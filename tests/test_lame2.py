@@ -100,6 +100,13 @@ def test_surface_memoization(sys215):
     assert v1 == pytest.approx(eval_I(f, sys215.a), rel=1e-12)
 
 
+def test_surface_I_honours_each_tolerance(sys215):
+    # the first caller's tolerance must not decide what later callers get
+    f = lame_function(sys215, 1, 1)
+    surface_I(f, 1e-3)
+    assert surface_I(f, 1e-12) == eval_I(f, sys215.a, 1e-12)
+
+
 def test_cross_check_reference_implementation(sys215):
     h2, k2 = sys215.h2, sys215.k2
     for n in range(4):

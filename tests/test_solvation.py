@@ -5,14 +5,17 @@ import pytest
 
 from ellharm.coords import cart_to_ell, ell_to_cart, surface_point
 from ellharm.coords import normal_derivative_factor
-from ellharm.errors import ChargeOutsideEllipsoid
+from ellharm.coords import new_system
+from ellharm.errors import (ChargeOutsideEllipsoid, OrderOutOfRange,
+                            ValidationError)
+from ellharm.lame1 import lame_function
+from ellharm.lame2 import surface_values
 from ellharm.harmonics import (HarmonicIndex, build_normalization_table,
                                exterior_solid)
 from ellharm.solvation import (DielectricModel, PointCharge,
                                KCAL_PER_E2_PER_ANGSTROM, born_energy,
                                expansion_coefficients, reaction_potential,
-                               solvation_energy, source_coefficients,
-                               _surface_values)
+                               solvation_energy, source_coefficients)
 
 WATER = DielectricModel(4.0, 80.0)
 
@@ -85,7 +88,7 @@ def test_exterior_coefficients_dual_formula(sys215):
     coeffs = expansion_coefficients(sys215, charges, WATER, 6)
     e1, e2 = WATER.eps1, WATER.eps2
     for (n, p), c in coeffs.C.items():
-        E, dE, F, dF = _surface_values(sys215, n, p)
+        E, dE, F, dF = surface_values(lame_function(sys215, n, p))
         alt = coeffs.G[(n, p)] / e2 + (e1 / e2) * (dE / dF) * coeffs.B[(n, p)]
         assert c == pytest.approx(alt, rel=1e-9, abs=1e-15)
 
@@ -132,6 +135,40 @@ def test_truncation_energies_settle():
     steps = [abs(a - b) for a, b in zip(energies, energies[1:])]
     assert all(a > b for a, b in zip(steps, steps[1:]))
     assert energies[-1] == pytest.approx(-5.76, abs=0.01)
+
+
+def test_table_of_another_geometry_rejected():
+    sys, charges = _fig3_setup()
+    table = build_normalization_table(new_system(16.0, 12.0, 10.0), 2)
+    with pytest.raises(ValidationError):
+        solvation_energy(sys, charges, WATER, N=2, table=table)
+
+
+def test_table_below_requested_degree_rejected():
+    sys, charges = _fig3_setup()
+    table = build_normalization_table(sys, 2)
+    with pytest.raises(OrderOutOfRange):
+        solvation_energy(sys, charges, WATER, N=3, table=table)
+
+
+def test_larger_table_gives_the_same_energy(sys215):
+    charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7)]
+    small = build_normalization_table(sys215, 12)
+    large = build_normalization_table(sys215, 16)
+    assert (solvation_energy(sys215, charges, WATER, N=12, table=large).energy_kcal
+            == solvation_energy(sys215, charges, WATER, N=12, table=small).energy_kcal)
+
+
+def test_inversion_through_centre_gives_the_same_energy():
+    # E3 is even or odd under inversion, so every product in 1/2 q^T E3 B
+    # is unchanged and the energy is reproduced exactly
+    sys, _ = _fig3_setup()
+    table = build_normalization_table(sys, 12)
+    charges = [PointCharge(3.0, 4.0, 5.0, 1.0), PointCharge(-2.0, 1.5, -4.0, -0.5),
+               PointCharge(6.0, -3.0, 0.0, 0.8)]
+    mirrored = [PointCharge(-c.x, -c.y, -c.z, c.q) for c in charges]
+    assert (solvation_energy(sys, mirrored, WATER, N=12, table=table).energy_kcal
+            == solvation_energy(sys, charges, WATER, N=12, table=table).energy_kcal)
 
 
 def _interface_potentials(sys, charges, diel, coeffs):
