@@ -97,8 +97,9 @@ def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
 def exterior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint, rel_tol: float = 1e-10) -> float:
     """F3_n^p at an exterior point (|lambda| > k required by eval_I)."""
-    I = eval_I(_fn(sys, idx), abs(point.lam), rel_tol)
-    return (2 * idx.n + 1) * interior_solid(sys, idx, point) * I
+    f = _fn(sys, idx)
+    I = eval_I(f, abs(point.lam), rel_tol)
+    return (2 * idx.n + 1) * float(interior_matrix([f], [point])[0, 0]) * I
 
 
 def surface_harmonic(sys: EllipsoidSystem, idx: HarmonicIndex,
@@ -246,9 +247,8 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
         raise OrderingViolation(
             f"field |lambda|={abs(fld.lam)} must exceed source |lambda|={abs(src.lam)}")
     table, keys = _checked_table(sys, N, table)
-    fns = [table.functions[key] for key in keys]
-    E3_src, E3_fld = (dict(zip(keys, row))
-                      for row in interior_matrix(fns, [src, fld]).tolist())
+    E3_src, E3_fld = (dict(zip(keys, row)) for row in interior_matrix(
+        [table.functions[key] for key in keys], [src, fld]).tolist())
 
     terms = {}
     diagnostics = {}

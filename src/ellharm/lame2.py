@@ -86,11 +86,11 @@ def surface_I(f: LameFunction, rel_tol: float = 1e-10) -> float:
     return eval_I(f, f.system.a, rel_tol=rel_tol)
 
 
-def surface_values(f: LameFunction, rel_tol: float = 1e-10):
+def surface_values(f: LameFunction):
     """E, E', F, F' at lambda = a (positive-octant signs)."""
     sys = f.system
     E, dE = eval_lame_derivative(f, sys.a)
-    I = surface_I(f, rel_tol)
+    I = surface_I(f)
     # at lambda = a: sqrt(a^2 - k^2) = c, sqrt(a^2 - h^2) = b
     dI = -1.0 / (E * E * sys.b * sys.c)
     F = (2 * f.n + 1) * E * I
@@ -101,11 +101,10 @@ def surface_values(f: LameFunction, rel_tol: float = 1e-10):
 def eval_F(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> SecondKindEval:
     """F, I and their lambda-derivatives at lam > k."""
     sys = f.system
-    n = f.n
     I = eval_I(f, lam, rel_tol=rel_tol)
     E, dE = eval_lame_derivative(f, lam)
     dI = -1.0 / (E * E * math.sqrt(lam * lam - sys.k2)
                  * math.sqrt(lam * lam - sys.h2))
-    F = (2 * n + 1) * E * I
-    dF = (2 * n + 1) * (dE * I + E * dI)
+    F = (2 * f.n + 1) * E * I
+    dF = (2 * f.n + 1) * (dE * I + E * dI)
     return SecondKindEval(I_value=I, F_value=F, dI_dlambda=dI, dF_dlambda=dF)

@@ -29,8 +29,10 @@ import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, ResonantDenominator
-from .harmonics import NormalizationTable, _checked_table, interior_matrix
-from .lame1 import N_MAX_DEFAULT, lame_function
+from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table, _fn,
+                        interior_matrix)
+from .lame1 import N_MAX_DEFAULT
+from .lame2 import surface_values
 
 __all__ = [
     "PointCharge",
@@ -98,16 +100,16 @@ def _check_interior(sys: EllipsoidSystem, charges):
 
 def _interior_terms(sys: EllipsoidSystem, charges, N: int,
                     table: NormalizationTable | None):
-    """The table, its keys, the charges' E3 matrix (charges x keys) and the
-    source coefficients G as an array over the keys."""
+    """The table, its keys, q^T E3 (E3 the charges x keys matrix) and the
+    source coefficients G, both as arrays over the keys."""
     _check_interior(sys, charges)
     table, keys = _checked_table(sys, N, table)
-    E3 = interior_matrix([table.functions[key] for key in keys],
-                         [cart_to_ell(sys, *ch.position) for ch in charges])
+    qE3 = np.array([ch.q for ch in charges], dtype=float) @ interior_matrix(
+        [table.functions[key] for key in keys],
+        [cart_to_ell(sys, *ch.position) for ch in charges])
     pref = np.array([4.0 * math.pi / (2 * n + 1) / table.gamma[(n, p)]
                      for n, p in keys])
-    G = pref * (np.array([ch.q for ch in charges], dtype=float) @ E3)
-    return table, keys, E3, G
+    return table, keys, qE3, pref * qE3
 
 
 def source_coefficients(sys: EllipsoidSystem, charges, N: int,
@@ -117,16 +119,23 @@ def source_coefficients(sys: EllipsoidSystem, charges, N: int,
     return dict(zip(keys, G.tolist()))
 
 
+def _surface(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
+    """E, E', F, F' at lambda = a by (n, p), from the table or for ``keys`` alone."""
+    if table is None:
+        return {key: surface_values(_fn(sys, HarmonicIndex(*key))) for key in keys}
+    return _checked_table(sys, max((n for n, _ in keys), default=0), table)[0].surface
+
+
 def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
     """B_n^p from G_n^p; identically zero when eps1 == eps2."""
     e1, e2 = diel.eps1, diel.eps2
     if e1 == e2:
         return dict.fromkeys(G, 0.0)
-    table, _ = _checked_table(sys, max(n for n, _ in G), table)
+    surface = _surface(sys, G, table)
     B = {}
     for (n, p), g in G.items():
-        E, dE, F, dF = table.surface[(n, p)]
+        E, dE, F, dF = surface[(n, p)]
         denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
         if abs(denom) < 1e-12:
             raise ResonantDenominator(
@@ -139,10 +148,10 @@ def exterior_coefficients(G: dict, B: dict, sys: EllipsoidSystem,
                           diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
     """C_n^p = G_n^p / eps1 + B_n^p E(a)/F(a)."""
-    table, _ = _checked_table(sys, max(n for n, _ in G), table)
+    surface = _surface(sys, G, table)
     C = {}
     for (n, p), g in G.items():
-        E, _, F, _ = table.surface[(n, p)]
+        E, _, F, _ = surface[(n, p)]
         C[(n, p)] = g / diel.eps1 + B[(n, p)] * E / F
     return C
 
@@ -160,7 +169,7 @@ def expansion_coefficients(sys: EllipsoidSystem, charges, diel: DielectricModel,
 def reaction_potential(sys: EllipsoidSystem, B: dict, point) -> float:
     """psi(r) = sum B_n^p E3_n^p(r) at an interior Cartesian point."""
     keys = sorted(B)
-    fns = [lame_function(sys, n, p, n_max=max(n, N_MAX_DEFAULT)) for n, p in keys]
+    fns = [_fn(sys, HarmonicIndex(*key)) for key in keys]
     E3 = interior_matrix(fns, [cart_to_ell(sys, *point)])[0]
     return float(E3 @ np.array([B[key] for key in keys]))
 
@@ -168,11 +177,10 @@ def reaction_potential(sys: EllipsoidSystem, B: dict, point) -> float:
 def solvation_energy(sys: EllipsoidSystem, charges, diel: DielectricModel,
                      N: int = N_MAX_DEFAULT,
                      table: NormalizationTable | None = None) -> EnergyReport:
-    """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) q^T E3 B."""
-    table, keys, E3, G = _interior_terms(sys, charges, N, table)
+    """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) (q^T E3) B."""
+    table, keys, qE3, G = _interior_terms(sys, charges, N, table)
     B = reaction_coefficients(dict(zip(keys, G.tolist())), sys, diel, table=table)
-    q = np.array([ch.q for ch in charges], dtype=float)
-    energy = 0.5 * float(q @ (E3 @ np.array([B[key] for key in keys])))
+    energy = 0.5 * float(qE3 @ np.array([B[key] for key in keys]))
     return EnergyReport(energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                         energy_gaussian=energy, N=N)
 

@@ -14,7 +14,8 @@ from ellharm.harmonics import (HarmonicIndex, build_normalization_table,
                                exterior_solid)
 from ellharm.solvation import (DielectricModel, PointCharge,
                                KCAL_PER_E2_PER_ANGSTROM, born_energy,
-                               expansion_coefficients, reaction_potential,
+                               expansion_coefficients, exterior_coefficients,
+                               reaction_coefficients, reaction_potential,
                                solvation_energy, source_coefficients)
 
 WATER = DielectricModel(4.0, 80.0)
@@ -91,6 +92,20 @@ def test_exterior_coefficients_dual_formula(sys215):
         E, dE, F, dF = surface_values(lame_function(sys215, n, p))
         alt = coeffs.G[(n, p)] / e2 + (e1 / e2) * (dE / dF) * coeffs.B[(n, p)]
         assert c == pytest.approx(alt, rel=1e-9, abs=1e-15)
+
+
+def test_coefficients_without_table_match_the_table(sys215):
+    G = source_coefficients(sys215, [PointCharge(0.4, 0.3, -0.2, 1.0)], 4)
+    table = build_normalization_table(sys215, 4)
+    B = reaction_coefficients(G, sys215, WATER)
+    assert B == reaction_coefficients(G, sys215, WATER, table=table)
+    assert (exterior_coefficients(G, B, sys215, WATER)
+            == exterior_coefficients(G, B, sys215, WATER, table=table))
+
+
+def test_empty_source_coefficients_give_empty_results(sys215):
+    assert reaction_coefficients({}, sys215, WATER) == {}
+    assert exterior_coefficients({}, {}, sys215, WATER) == {}
 
 
 def test_energy_bilinearity(sys215):
