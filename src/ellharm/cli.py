@@ -160,7 +160,7 @@ def cmd_transform(args):
 
 def cmd_lame(args):
     sys = _system(args)
-    f = lame_function(sys, args.degree, args.p, n_max=max(args.degree, args.order))
+    f = lame_function(sys, args.degree, args.p)
     svals = [float(v) for v in args.s.split(",")]
     rows = [{"s": s, "E": eval_lame(f, s)} for s in svals]
     config = {"semiaxes": args.semiaxes, "subcommand": "lame",

@@ -27,7 +27,6 @@ from .errors import DegenerateEllipsoid, RangeViolation, RoundTripFailure
 __all__ = [
     "EllipsoidSystem",
     "EllipsoidalPoint",
-    "CubicAuxiliaries",
     "new_system",
     "cart_to_ell",
     "ell_to_cart",
@@ -72,18 +71,6 @@ class EllipsoidalPoint:
     s_nu: int
 
 
-@dataclass(frozen=True)
-class CubicAuxiliaries:
-    """Intermediates of the coordinate cubic (for diagnostics/testing)."""
-
-    w1: float
-    w2: float
-    w3: float
-    Q: float
-    R: float
-    theta: float
-
-
 def new_system(a: float, b: float, c: float) -> EllipsoidSystem:
     """Construct an EllipsoidSystem, validating strict ordering a > b > c > 0."""
     if not (c > 0 and b > c and a > b) or not all(map(math.isfinite, (a, b, c))):
@@ -100,7 +87,34 @@ def _sgn(v: float) -> int:
     return 1 if v >= 0 else -1
 
 
-def cubic_auxiliaries(sys: EllipsoidSystem, x: float, y: float, z: float) -> CubicAuxiliaries:
+def _polish_root(w1: float, w2: float, w3: float, u: float) -> float:
+    """Newton-polish a root of u^3 + w1 u^2 + w2 u + w3.
+
+    The trigonometric solution loses relative accuracy for points far from
+    the ellipsoid (the three roots then differ by many orders of magnitude);
+    a step or two of Newton restores it.  Steps are skipped when the local
+    slope is too small (nearly multiple roots) or the correction is large.
+    """
+    for _ in range(2):
+        f = ((u + w1) * u + w2) * u + w3
+        df = (3.0 * u + 2.0 * w1) * u + w2
+        if df == 0.0:
+            break
+        step = f / df
+        if not math.isfinite(step) or abs(step) > 0.1 * max(1.0, abs(u)):
+            break
+        u -= step
+    return u
+
+
+def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> EllipsoidalPoint:
+    """Cartesian -> signed ellipsoidal coordinates.
+
+    The result is round-trip verified against ``ell_to_cart`` to 1e-6
+    absolute (the documented accuracy of the direct cubic-root transform);
+    ``RoundTripFailure`` is raised when the verification fails, which happens
+    far from the ellipsoid where the cubic becomes ill-conditioned.
+    """
     h2, k2 = sys.h2, sys.k2
     x2, y2, z2 = x * x, y * y, z * z
     w1 = -(x2 + y2 + z2 + h2 + k2)
@@ -111,50 +125,16 @@ def cubic_auxiliaries(sys: EllipsoidSystem, x: float, y: float, z: float) -> Cub
     # roundoff can push |R|/Q^{3/2} marginally above 1 near coordinate planes
     ct = min(1.0, max(-1.0, R / math.sqrt(Q ** 3)))
     theta = math.acos(ct)
-    return CubicAuxiliaries(w1=w1, w2=w2, w3=w3, Q=Q, R=R, theta=theta)
-
-
-def _polish_root(aux: CubicAuxiliaries, u: float) -> float:
-    """Newton-polish a root of u^3 + w1 u^2 + w2 u + w3.
-
-    The trigonometric solution loses relative accuracy for points far from
-    the ellipsoid (the three roots then differ by many orders of magnitude);
-    a step or two of Newton restores it.  Steps are skipped when the local
-    slope is too small (nearly multiple roots) or the correction is large.
-    """
-    for _ in range(2):
-        f = ((u + aux.w1) * u + aux.w2) * u + aux.w3
-        df = (3.0 * u + 2.0 * aux.w1) * u + aux.w2
-        if df == 0.0:
-            break
-        step = f / df
-        if not math.isfinite(step) or abs(step) > 0.1 * max(1.0, abs(u)):
-            break
-        u -= step
-    return u
-
-
-def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float,
-                verify: bool = True) -> EllipsoidalPoint:
-    """Cartesian -> signed ellipsoidal coordinates.
-
-    The result is round-trip verified against ``ell_to_cart`` to 1e-6
-    absolute (the documented accuracy of the direct cubic-root transform);
-    ``RoundTripFailure`` is raised when the verification fails, which happens
-    far from the ellipsoid where the cubic becomes ill-conditioned.
-    """
-    aux = cubic_auxiliaries(sys, x, y, z)
-    sq = 2.0 * math.sqrt(aux.Q)
-    lam2 = sq * math.cos(aux.theta / 3.0) - aux.w1 / 3.0
-    mu2 = sq * math.cos(aux.theta / 3.0 + 4.0 * math.pi / 3.0) - aux.w1 / 3.0
-    nu2 = sq * math.cos(aux.theta / 3.0 + 2.0 * math.pi / 3.0) - aux.w1 / 3.0
-    lam2 = _polish_root(aux, lam2)
-    mu2 = _polish_root(aux, mu2)
-    nu2 = _polish_root(aux, nu2)
+    sq = 2.0 * math.sqrt(Q)
+    lam2 = sq * math.cos(theta / 3.0) - w1 / 3.0
+    mu2 = sq * math.cos(theta / 3.0 + 4.0 * math.pi / 3.0) - w1 / 3.0
+    nu2 = sq * math.cos(theta / 3.0 + 2.0 * math.pi / 3.0) - w1 / 3.0
+    lam2 = _polish_root(w1, w2, w3, lam2)
+    mu2 = _polish_root(w1, w2, w3, mu2)
+    nu2 = _polish_root(w1, w2, w3, nu2)
     # snap roots that agree with a semifocal square to machine precision: the
     # reconstruction multiplies (root - h^2) etc. by lambda^2, so a one-ulp
     # residual at a coordinate plane would otherwise be amplified
-    h2, k2 = sys.h2, sys.k2
     for c2 in (h2, k2):
         if abs(mu2 - c2) <= 1e-13 * max(1.0, c2):
             mu2 = c2
@@ -172,12 +152,11 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float,
         nu=sn * math.sqrt(max(nu2, 0.0)),
         s_lambda=sl, s_mu=sm, s_nu=sn,
     )
-    if verify:
-        xr, yr, zr = ell_to_cart(sys, p)
-        if max(abs(xr - x), abs(yr - y), abs(zr - z)) > _ROUND_TRIP_TOL:
-            raise RoundTripFailure(
-                f"round trip of {(x, y, z)} off by "
-                f"{max(abs(xr - x), abs(yr - y), abs(zr - z)):.3e} (> 1e-6)")
+    xr, yr, zr = ell_to_cart(sys, p)
+    if max(abs(xr - x), abs(yr - y), abs(zr - z)) > _ROUND_TRIP_TOL:
+        raise RoundTripFailure(
+            f"round trip of {(x, y, z)} off by "
+            f"{max(abs(xr - x), abs(yr - y), abs(zr - z)):.3e} (> 1e-6)")
     return p
 
 

@@ -30,8 +30,7 @@ import numpy as np
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (NonConvergence, OrderOutOfRange, OrderingViolation,
                      ValidationError)
-from .lame1 import (N_MAX_DEFAULT, eval_lame, eval_lame_condition,
-                    lame_function, psi_exponents)
+from .lame1 import eval_lame, eval_lame_condition, lame_function, psi_exponents
 from .lame2 import eval_I, surface_values
 from .numerics import gauss_legendre
 
@@ -68,10 +67,6 @@ class HarmonicIndex:
             raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
 
 
-def _fn(sys: EllipsoidSystem, idx: HarmonicIndex):
-    return lame_function(sys, idx.n, idx.p, n_max=max(idx.n, N_MAX_DEFAULT))
-
-
 def interior_matrix(functions, points) -> np.ndarray:
     """E3 of every function at every point, as a (points, functions) array.
 
@@ -91,14 +86,14 @@ def interior_matrix(functions, points) -> np.ndarray:
 def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """E3_n^p at the point: triple product of first-kind evaluations."""
-    return float(interior_matrix([_fn(sys, idx)], [point])[0, 0])
+    return float(interior_matrix([lame_function(sys, idx.n, idx.p)], [point])[0, 0])
 
 
 def exterior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
-                   point: EllipsoidalPoint, rel_tol: float = 1e-10) -> float:
+                   point: EllipsoidalPoint) -> float:
     """F3_n^p at an exterior point (|lambda| > k required by eval_I)."""
-    f = _fn(sys, idx)
-    I = eval_I(f, abs(point.lam), rel_tol)
+    f = lame_function(sys, idx.n, idx.p)
+    I = eval_I(f, abs(point.lam))
     return (2 * idx.n + 1) * float(interior_matrix([f], [point])[0, 0]) * I
 
 
@@ -106,7 +101,7 @@ def surface_harmonic(sys: EllipsoidSystem, idx: HarmonicIndex,
                      mu: float, nu: float,
                      s_mu: int = 1, s_nu: int = 1) -> float:
     """Product E(mu) E(nu) of the two angular factors."""
-    f = _fn(sys, idx)
+    f = lame_function(sys, idx.n, idx.p)
     return eval_lame(f, mu, s_mu, s_nu) * eval_lame(f, nu, s_mu, s_nu)
 
 
@@ -131,7 +126,7 @@ def gamma(sys: EllipsoidSystem, idx: HarmonicIndex,
     """Normalization constant gamma_n^p with an order-doubling error check."""
     if quad_order < 16:
         raise OrderOutOfRange("quad_order must be >= 16")
-    f = _fn(sys, idx)
+    f = lame_function(sys, idx.n, idx.p)
     order = quad_order
     val = _gamma_fixed_order(sys, f, order)
     while True:
@@ -153,13 +148,9 @@ class NormalizationTable:
 
     system: EllipsoidSystem
     gamma: dict            # (n, p) -> value
-    quadrature_order: int
     error_estimates: dict  # (n, p) -> order-doubling relative change
     functions: dict        # (n, p) -> LameFunction
     surface: dict          # (n, p) -> (E, E', F, F') at lambda = a
-
-    def __getitem__(self, np_pair):
-        return self.gamma[np_pair]
 
 
 def build_normalization_table(sys: EllipsoidSystem, N: int,
@@ -169,10 +160,10 @@ def build_normalization_table(sys: EllipsoidSystem, N: int,
         for p in range(1, 2 * n + 2):
             idx = HarmonicIndex(n, p)
             gam[(n, p)], errs[(n, p)] = gamma(sys, idx, quad_order, with_error=True)
-            fns[(n, p)] = f = _fn(sys, idx)
+            fns[(n, p)] = f = lame_function(sys, n, p)
             surf[(n, p)] = surface_values(f)
-    return NormalizationTable(system=sys, gamma=gam, quadrature_order=quad_order,
-                              error_estimates=errs, functions=fns, surface=surf)
+    return NormalizationTable(system=sys, gamma=gam, error_estimates=errs,
+                              functions=fns, surface=surf)
 
 
 def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | None):
@@ -224,8 +215,7 @@ def _rounding_amplification(f, src: EllipsoidalPoint,
 
 
 def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
-                   table: NormalizationTable | None = None,
-                   rel_tol: float = 1e-10) -> CoulombExpansion:
+                   table: NormalizationTable | None = None) -> CoulombExpansion:
     """Degree-truncated ellipsoidal expansion of 1/|r - r'|.
 
     ``source`` and ``field_point`` are Cartesian triples; the field point must
@@ -261,7 +251,7 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
             f = table.functions[(n, p)]
             g = table.gamma[(n, p)]
             E3 = E3_src[(n, p)]
-            F3 = (2 * n + 1) * E3_fld[(n, p)] * eval_I(f, abs(fld.lam), rel_tol)
+            F3 = (2 * n + 1) * E3_fld[(n, p)] * eval_I(f, abs(fld.lam))
             pref = 4.0 * math.pi / (2 * n + 1) / g
             term = pref * E3 * F3
             total += term

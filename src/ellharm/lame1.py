@@ -166,11 +166,8 @@ class LameFunction:
         return self.cls.n
 
 
-def lame_function(sys: EllipsoidSystem, n: int, p: int,
-                  n_max: int = N_MAX_DEFAULT) -> LameFunction:
+def lame_function(sys: EllipsoidSystem, n: int, p: int) -> LameFunction:
     """Construct the function E_n^p by solving its class eigenproblem."""
-    if n > n_max:
-        raise OrderOutOfRange(f"degree n={n} exceeds configured maximum {n_max}")
     cls = class_of(n, p)
     spec = build_tridiagonal(sys, cls)
     pairs = solve_tridiagonal(spec)
@@ -183,78 +180,54 @@ def lame_function(sys: EllipsoidSystem, n: int, p: int,
     return LameFunction(system=sys, cls=cls, coeffs=b, separation_constant=pconst)
 
 
-def _psi_factors(f: LameFunction, s, s_mu_sign, s_nu_sign, need_deriv):
-    """Per-factor (value, d/ds, d2/ds2) triples of the radical prefactor."""
-    sys = f.system
-    e_s, e_h, e_k = psi_exponents(f.cls.tag, f.n)
-    sgn = np.where(s >= 0, 1.0, -1.0)
-    factors = []
-    if e_s:
-        factors.append((s, np.ones_like(s), np.zeros_like(s)))
-    for present, semifocal2, octant_sign in (
-            (e_h, sys.h2, s_mu_sign), (e_k, sys.k2, s_nu_sign)):
-        if not present:
-            continue
-        w = s * s - semifocal2
-        v = sgn * octant_sign * np.sqrt(np.abs(w))
-        if need_deriv:
-            if np.any(v == 0):
-                raise BranchPointDerivative(
-                    "derivative unbounded at a branch point |s| = h or k")
-            dv = s * np.sign(w) / v
-            ddv = -semifocal2 / v ** 3
-        else:
-            dv = ddv = None
-        factors.append((v, dv, ddv))
-    return factors
+def _leibniz(x, y):
+    """Product of two equally truncated (value, d/ds, d2/ds2) lists."""
+    out = [x[0] * y[0]]
+    if len(x) > 1:
+        out.append(x[1] * y[0] + x[0] * y[1])
+    if len(x) > 2:
+        out.append(x[2] * y[0] + 2.0 * x[1] * y[1] + x[0] * y[2])
+    return out
 
 
 def _eval(f: LameFunction, s, s_mu_sign, s_nu_sign, nderiv):
+    """E and its first ``nderiv`` s-derivatives by one product rule over the
+    factors of psi, then P(t(s)).  The value keeps the multiplication order
+    ((1 s) sqrt) sqrt P of the value-only path, so E does not depend on
+    ``nderiv``."""
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
     sys = f.system
+    e_s, e_h, e_k = psi_exponents(f.cls.tag, f.n)
+    out = [1.0, 0.0, 0.0][:nderiv + 1]
+    if e_s:
+        out = _leibniz(out, [s_arr, 1.0, 0.0][:nderiv + 1])
+    sgn = np.where(s_arr >= 0, 1.0, -1.0)
+    for present, semifocal2, octant_sign in (
+            (e_h, sys.h2, s_mu_sign), (e_k, sys.k2, s_nu_sign)):
+        if not present:
+            continue
+        w = s_arr * s_arr - semifocal2
+        v = sgn * octant_sign * np.sqrt(np.abs(w))
+        factor = [v]
+        if nderiv:
+            if np.any(v == 0):
+                raise BranchPointDerivative(
+                    "derivative unbounded at a branch point |s| = h or k")
+            factor += [s_arr * np.sign(w) / v, -semifocal2 / v ** 3]
+        out = _leibniz(out, factor[:nderiv + 1])
+    pv = np.polynomial.polynomial
     b = f.coeffs
     t = 1.0 - s_arr * s_arr / sys.h2
-    pv = np.polynomial.polynomial
-    P = pv.polyval(t, b)
-    factors = _psi_factors(f, s_arr, s_mu_sign, s_nu_sign, nderiv > 0)
-    vals = [fac[0] for fac in factors]
-    psi = np.ones_like(s_arr)
-    for v in vals:
-        psi = psi * v
-    out = [psi * P]
-    if nderiv >= 1:
+    P = [pv.polyval(t, b)]
+    if nderiv:
         tp = -2.0 * s_arr / sys.h2
         db = pv.polyder(b)
         Pt = pv.polyval(t, db)
-        dpsi = np.zeros_like(s_arr)
-        for i, (_, dv, _) in enumerate(factors):
-            rest = np.ones_like(s_arr)
-            for j, v in enumerate(vals):
-                if j != i:
-                    rest = rest * v
-            dpsi += dv * rest
-        out.append(dpsi * P + psi * Pt * tp)
-        if nderiv >= 2:
-            tpp = -2.0 / sys.h2
-            Ptt = pv.polyval(t, pv.polyder(db))
-            ddpsi = np.zeros_like(s_arr)
-            for i, (_, _, ddv) in enumerate(factors):
-                rest = np.ones_like(s_arr)
-                for j, v in enumerate(vals):
-                    if j != i:
-                        rest = rest * v
-                ddpsi += ddv * rest
-            for i in range(len(factors)):
-                for j in range(i + 1, len(factors)):
-                    rest = np.ones_like(s_arr)
-                    for l, v in enumerate(vals):
-                        if l != i and l != j:
-                            rest = rest * v
-                    ddpsi += 2.0 * factors[i][1] * factors[j][1] * rest
-            out.append(ddpsi * P + 2.0 * dpsi * Pt * tp
-                       + psi * (Ptt * tp * tp + Pt * tpp))
+        P += [Pt * tp,
+              pv.polyval(t, pv.polyder(db)) * tp * tp + Pt * (-2.0 / sys.h2)]
+    out = _leibniz(out, P[:nderiv + 1])
     if scalar:
         out = [float(v[0]) for v in out]
     return out[0] if nderiv == 0 else tuple(out)

@@ -169,13 +169,13 @@ def _gk15(f, lo, hi):
     return vk, err, 15
 
 
-def _adaptive_finite(f, lo, hi, rel_tol, abs_floor, max_subdiv):
+def _adaptive_finite(f, lo, hi, rel_tol, max_subdiv):
     val, err, nev = _gk15(f, lo, hi)
     heap = [(-err, lo, hi, val, err)]
     total_val, total_err = val, err
     nsub = 1
     while True:
-        tol = max(rel_tol * abs(total_val), abs_floor)
+        tol = max(rel_tol * abs(total_val), 1e-14)
         if total_err <= tol:
             return QuadratureResult(total_val, total_err, nev, True, nsub)
         if nsub >= max_subdiv:
@@ -192,35 +192,23 @@ def _adaptive_finite(f, lo, hi, rel_tol, abs_floor, max_subdiv):
         nsub += 1
 
 
-def adaptive_quad(f, lo, hi, rel_tol=1e-10, abs_floor=1e-14,
-                  max_subdiv=2000) -> QuadratureResult:
-    """Adaptively integrate ``f`` over [lo, hi]; ``hi`` may be ``inf``.
+def adaptive_quad(f, lo, hi, rel_tol=1e-10, max_subdiv=2000) -> QuadratureResult:
+    """Adaptively integrate ``f`` over [lo, hi] to ``rel_tol`` relative, or
+    1e-14 absolute; ``hi`` may be ``inf`` when lo > 0.
 
     Semi-infinite intervals are mapped to (0, 1] by the substitution
-    s = L / t (with L = lo when lo > 0, else the tail past lo + 1 is
-    transformed and the head integrated directly).
+    s = lo / t.
 
     If the subdivision cap is reached the best available value is returned
     with ``converged=False`` and an honest error estimate, rather than
     raising; callers that need a hard failure can check the flag.
     """
     if math.isinf(hi):
-        if lo > 0:
-            L = lo
-            g = lambda t: f(L / t) * L / (t * t)
-            return _adaptive_finite(g, 0.0, 1.0, rel_tol, abs_floor, max_subdiv)
-        split = lo + 1.0
-        head = _adaptive_finite(f, lo, split, rel_tol, abs_floor, max_subdiv)
-        g = lambda t: f(split / t) * split / (t * t)
-        tail = _adaptive_finite(g, 0.0, 1.0, rel_tol, abs_floor, max_subdiv)
-        return QuadratureResult(
-            head.value + tail.value,
-            head.error_estimate + tail.error_estimate,
-            head.evaluations + tail.evaluations,
-            head.converged and tail.converged,
-            head.subdivisions + tail.subdivisions,
-        )
-    return _adaptive_finite(f, lo, hi, rel_tol, abs_floor, max_subdiv)
+        if not lo > 0:
+            raise ValueError(f"a semi-infinite interval needs lo > 0, got lo={lo}")
+        g = lambda t: f(lo / t) * lo / (t * t)
+        return _adaptive_finite(g, 0.0, 1.0, rel_tol, max_subdiv)
+    return _adaptive_finite(f, lo, hi, rel_tol, max_subdiv)
 
 
 # ----------------------------------------------------------------------

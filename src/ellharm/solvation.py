@@ -29,9 +29,8 @@ import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, ResonantDenominator
-from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table, _fn,
-                        interior_matrix)
-from .lame1 import N_MAX_DEFAULT
+from .harmonics import NormalizationTable, _checked_table, interior_matrix
+from .lame1 import N_MAX_DEFAULT, lame_function
 from .lame2 import surface_values
 
 __all__ = [
@@ -87,7 +86,6 @@ class EnergyReport:
     energy_kcal: float
     energy_gaussian: float  # e^2 / Angstrom
     N: int
-    cancellation_degrees: tuple = ()
 
 
 def _check_interior(sys: EllipsoidSystem, charges):
@@ -122,7 +120,7 @@ def source_coefficients(sys: EllipsoidSystem, charges, N: int,
 def _surface(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
     """E, E', F, F' at lambda = a by (n, p), from the table or for ``keys`` alone."""
     if table is None:
-        return {key: surface_values(_fn(sys, HarmonicIndex(*key))) for key in keys}
+        return {key: surface_values(lame_function(sys, *key)) for key in keys}
     return _checked_table(sys, max((n for n, _ in keys), default=0), table)[0].surface
 
 
@@ -169,7 +167,7 @@ def expansion_coefficients(sys: EllipsoidSystem, charges, diel: DielectricModel,
 def reaction_potential(sys: EllipsoidSystem, B: dict, point) -> float:
     """psi(r) = sum B_n^p E3_n^p(r) at an interior Cartesian point."""
     keys = sorted(B)
-    fns = [_fn(sys, HarmonicIndex(*key)) for key in keys]
+    fns = [lame_function(sys, *key) for key in keys]
     E3 = interior_matrix(fns, [cart_to_ell(sys, *point)])[0]
     return float(E3 @ np.array([B[key] for key in keys]))
 

@@ -27,8 +27,8 @@ def surface_inner(sys, idx1: HarmonicIndex, idx2: HarmonicIndex, order=96):
     sin^2(phi), nu = h sin(theta) on the positive octant and sums all eight
     (s_lambda, s_mu, s_nu) octants.  The diagonal equals gamma * E(a)^2.
     """
-    f1 = lame_function(sys, idx1.n, idx1.p, n_max=max(idx1.n, 12))
-    f2 = lame_function(sys, idx2.n, idx2.p, n_max=max(idx2.n, 12))
+    f1 = lame_function(sys, idx1.n, idx1.p)
+    f2 = lame_function(sys, idx2.n, idx2.p)
     phi, wphi = gauss_legendre(order, 0.0, math.pi / 2.0)
     theta, wtheta = gauss_legendre(order, 0.0, math.pi / 2.0)
     mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(phi) ** 2)

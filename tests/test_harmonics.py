@@ -251,7 +251,7 @@ def test_cancellation_amplification_matches_digit_loss(sys215, table16):
                  for (n, p), d in exp.diagnostics.items() if n == 16)
     src, fld = cart_to_ell(sys215, *C9_SOURCE), cart_to_ell(sys215, *C9_FIELD)
     s = [src.lam, src.mu, src.nu, fld.lam, fld.mu, fld.nu]
-    f = lame_function(sys215, 16, p, n_max=16)
+    f = lame_function(sys215, 16, p)
     t = 1.0 - np.square(s) / sys215.h2
     computed = np.polynomial.polynomial.polyval(t, f.coeffs)
     with mp.workdps(50):

@@ -120,29 +120,32 @@ def test_derivatives(sys215):
     f1 = lame_function(sys215, 1, 1)
     _, d1 = eval_lame_derivative(f1, 2.5)
     assert d1 == pytest.approx(1.0, rel=1e-13)
-    # central finite difference for a degree-2 function
-    f = lame_function(sys215, 2, 5)
+    # central differences for every class at both parities, at s in each
+    # coordinate range (lambda > k, h < mu < k, 0 < nu < h) and its mirror,
+    # with both octant signs: E' from E, then E'' from E'
+    s = np.array([2.5, 1.5, 0.7, -2.5, -1.5, -0.7])
     h = 1e-6
-    _, dv = eval_lame_derivative(f, 2.5)
-    fd = (eval_lame(f, 2.5 + h) - eval_lame(f, 2.5 - h)) / (2 * h)
-    assert dv == pytest.approx(fd, rel=1e-6)
-    # analytic second derivative against finite difference
-    _, _, ddv = eval_lame_second_derivative(f, 2.5)
-    fdd = (eval_lame(f, 2.5 + h) - 2 * eval_lame(f, 2.5)
-           + eval_lame(f, 2.5 - h)) / h ** 2
-    assert ddv == pytest.approx(fdd, rel=1e-3)
+    for n in range(5):
+        for p in range(1, 2 * n + 2):
+            f = lame_function(sys215, n, p)
+            for sm in (1, -1):
+                for sn in (1, -1):
+                    E, dE, ddE = eval_lame_second_derivative(f, s, sm, sn)
+                    assert np.array_equal(E, eval_lame(f, s, sm, sn))
+                    assert np.array_equal(dE, eval_lame_derivative(f, s, sm, sn)[1])
+                    fd = (eval_lame(f, s + h, sm, sn)
+                          - eval_lame(f, s - h, sm, sn)) / (2 * h)
+                    fdd = (eval_lame_derivative(f, s + h, sm, sn)[1]
+                           - eval_lame_derivative(f, s - h, sm, sn)[1]) / (2 * h)
+                    scale = np.abs(E) + np.abs(dE) + np.abs(ddE)
+                    assert np.all(np.abs(dE - fd) <= 1e-8 * scale), (n, p, sm, sn)
+                    assert np.all(np.abs(ddE - fdd) <= 1e-8 * scale), (n, p, sm, sn)
 
 
 def test_branch_point_derivative_raises(sys215):
     f = lame_function(sys215, 2, 4)  # contains sqrt(s^2 - k^2)
     with pytest.raises(BranchPointDerivative):
         eval_lame_derivative(f, sys215.k)
-
-
-def test_degree_cap(sys215):
-    with pytest.raises(OrderOutOfRange):
-        lame_function(sys215, 13, 1)  # default cap is 12
-    lame_function(sys215, 13, 1, n_max=13)
 
 
 def test_cross_check_reference_implementation(sys215):
@@ -189,5 +192,5 @@ def test_integrand_condition_peaks_at_lower_limit(sys215):
         s = lam * np.geomspace(1.0, 1e5, 600)
         for n in range(17):
             for p in range(1, 2 * n + 2):
-                c = eval_lame_condition(lame_function(sys215, n, p, n_max=16), s)
+                c = eval_lame_condition(lame_function(sys215, n, p), s)
                 assert np.all(c <= c[0] * (1.0 + 1e-12)), (lam, n, p)

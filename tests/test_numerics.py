@@ -110,6 +110,13 @@ def test_quad_reports_nonconvergence_honestly():
     assert res.error_estimate > 0
 
 
+def test_quad_semi_infinite_needs_positive_lower_limit():
+    f = lambda s: 1.0 / (1.0 + s * s)
+    for lo in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            adaptive_quad(f, lo, math.inf)
+
+
 def test_gauss_legendre_order1():
     x, w = gauss_legendre(1)
     assert abs(x[0]) < 1e-15 and abs(w[0] - 2.0) < 1e-15
