@@ -30,7 +30,8 @@ import numpy as np
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (NonConvergence, OrderOutOfRange, OrderingViolation,
                      ValidationError)
-from .lame1 import eval_lame, eval_lame_condition, lame_function, psi_exponents
+from .lame1 import (_eval, eval_lame, eval_lame_condition, lame_function,
+                    psi_exponents)
 from .lame2 import eval_I, surface_values
 from .numerics import gauss_legendre
 
@@ -70,16 +71,24 @@ class HarmonicIndex:
 def interior_matrix(functions, points) -> np.ndarray:
     """E3 of every function at every point, as a (points, functions) array.
 
-    Each entry is the triple product E(lam) E(mu) E(nu), in that order, so it
-    equals the scalar evaluation bit for bit.
+    The functions that share a system and psi exponents (at most eight
+    groups for any degree) are evaluated in one pass over their zero-padded
+    coefficient matrix.  Each entry is the triple product E(lam) E(mu)
+    E(nu), in that order, so it equals the scalar evaluation bit for bit.
     """
     coords = np.array([(pt.lam, pt.mu, pt.nu, pt.s_mu, pt.s_nu) for pt in points],
                       dtype=float).reshape(-1, 5).T
     s, sm, sn = coords[:3], coords[3], coords[4]
-    out = np.empty((s.shape[1], len(functions)))
+    groups = {}
     for j, f in enumerate(functions):
-        E = eval_lame(f, s, sm, sn)
-        out[:, j] = E[0] * E[1] * E[2]
+        groups.setdefault((f.system, psi_exponents(f.cls.tag, f.n)), []).append(j)
+    out = np.empty((s.shape[1], len(functions)))
+    for (sys, exps), cols in groups.items():
+        b = np.zeros((max(len(functions[j].coeffs) for j in cols), len(cols)))
+        for i, j in enumerate(cols):
+            b[:len(functions[j].coeffs), i] = functions[j].coeffs
+        E = _eval(sys, exps, b, s, sm, sn, 0)
+        out[:, cols] = (E[:, 0] * E[:, 1] * E[:, 2]).T
     return out
 
 

@@ -87,15 +87,10 @@ def class_of(n: int, p: int) -> LameClass:
 
 
 def psi_exponents(tag: str, n: int):
-    """Exponents (e_s, e_h, e_k) of the radical prefactor psi."""
-    odd = n % 2
-    if tag == "K":
-        return odd, 0, 0
-    if tag == "L":
-        return 1 - odd, 1, 0
-    if tag == "M":
-        return 1 - odd, 0, 1
-    return odd, 1, 1
+    """Exponents (e_s, e_h, e_k) of the radical prefactor psi; e_s gives
+    e_s + e_h + e_k the parity of n."""
+    e_h, e_k = int(tag in "LN"), int(tag in "MN")
+    return (n + e_h + e_k) % 2, e_h, e_k
 
 
 def build_tridiagonal(sys: EllipsoidSystem, cls: LameClass) -> TridiagonalSpec:
@@ -105,53 +100,26 @@ def build_tridiagonal(sys: EllipsoidSystem, cls: LameClass) -> TridiagonalSpec:
     Acting on the basis psi * t^j, the Lame operator maps basis element j to
     A_j t^(j-1) + B_j t^j + C_j t^(j+1); the matrix below is the negative of
     that operator's matrix so its eigenvalues are the separation constants
-    directly.  The entries follow from substituting psi * t^j into the Lame
-    equation and collecting powers of t.
+    directly.  Substituting psi * t^j into the Lame equation and collecting
+    powers of t gives, with (e_s, e_h, e_k) the exponents of psi,
+    q = n(n+1), sigma = e_s + e_h + e_k, u_j = 2j + e_s + e_h and
+    w_j = 2j + e_h + e_k,
+
+        A_j = 2j (2j - 1 + 2 e_h) (k^2 - h^2)
+        B_j = h^2 (u_j^2 + w_j^2 - q) - k^2 u_j^2
+        C_j = h^2 (q - (2j + sigma)(2j + sigma + 1))
+
+    for j = 0 .. class_dim - 1.
     """
     h2, k2 = sys.h2, sys.k2
-    n = cls.n
-    tag = cls.tag
-    odd = n % 2
-    m = class_dim(tag, n)
-    e_s, e_h, e_k = psi_exponents(tag, n)
-    sigma = e_s + e_h + e_k
-    q = n * (n + 1)
-
-    def B(j):
-        if tag == "K":
-            if odd == 0:
-                return 8 * h2 * j * j - h2 * q - 4 * j * j * k2
-            return (8 * h2 * j * j + 4 * h2 * j - h2 * q + h2
-                    - 4 * j * j * k2 - 4 * j * k2 - k2)
-        if tag == "L":
-            if odd == 0:
-                return (8 * h2 * j * j + 12 * h2 * j - h2 * q + 5 * h2
-                        - 4 * j * j * k2 - 8 * j * k2 - 4 * k2)
-            return (8 * h2 * j * j + 8 * h2 * j - h2 * q + 2 * h2
-                    - 4 * j * j * k2 - 4 * j * k2 - k2)
-        if tag == "M":
-            if odd == 0:
-                return (8 * h2 * j * j + 8 * h2 * j - h2 * q + 2 * h2
-                        - 4 * j * j * k2 - 4 * j * k2 - k2)
-            return 8 * h2 * j * j + 4 * h2 * j - h2 * q + h2 - 4 * j * j * k2
-        if odd == 0:
-            return (8 * h2 * j * j + 12 * h2 * j - h2 * q + 5 * h2
-                    - 4 * j * j * k2 - 4 * j * k2 - k2)
-        return (8 * h2 * j * j + 16 * h2 * j - h2 * q + 8 * h2
-                - 4 * j * j * k2 - 8 * j * k2 - 4 * k2)
-
-    def A(j):
-        if tag in ("K", "M"):
-            return 2 * j * (2 * j - 1) * (k2 - h2)
-        return 2 * j * (2 * j + 1) * (k2 - h2)
-
-    def C(j):
-        return h2 * (q - (2 * j + sigma) * (2 * j + sigma + 1))
-
-    diag = np.array([-B(i) for i in range(m)], dtype=float)
-    upper = np.array([-A(i + 1) for i in range(m - 1)], dtype=float)
-    lower = np.array([-C(i) for i in range(m - 1)], dtype=float)
-    return TridiagonalSpec(diag=diag, lower=lower, upper=upper)
+    e_s, e_h, e_k = psi_exponents(cls.tag, cls.n)
+    q = cls.n * (cls.n + 1)
+    j = np.arange(class_dim(cls.tag, cls.n))
+    u, w, v = 2 * j + e_s + e_h, 2 * j + e_h + e_k, 2 * j + e_s + e_h + e_k
+    A = 2 * j * (2 * j - 1 + 2 * e_h) * (k2 - h2)
+    B = h2 * (u * u + w * w - q) - k2 * u * u
+    C = h2 * (q - v * (v + 1))
+    return TridiagonalSpec(diag=-B, lower=-C[:-1], upper=-A[1:])
 
 
 @dataclass(frozen=True)
@@ -190,16 +158,21 @@ def _leibniz(x, y):
     return out
 
 
-def _eval(f: LameFunction, s, s_mu_sign, s_nu_sign, nderiv):
+def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
     """E and its first ``nderiv`` s-derivatives by one product rule over the
-    factors of psi, then P(t(s)).  The value keeps the multiplication order
-    ((1 s) sqrt) sqrt P of the value-only path, so E does not depend on
-    ``nderiv``."""
+    factors of psi, with exponents ``exps``, then P(t(s)).  The value keeps
+    the multiplication order ((1 s) sqrt) sqrt P of the value-only path, so
+    E does not depend on ``nderiv``.
+
+    ``b`` holds the coefficients of P, or an (m, F) matrix of F functions
+    that share psi, zero-padded at high degree; each result then has a
+    leading axis of length F.  Horner's rule adds only exact zeros for the
+    padding, so every function's values equal its one-vector evaluation bit
+    for bit."""
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
-    sys = f.system
-    e_s, e_h, e_k = psi_exponents(f.cls.tag, f.n)
+    e_s, e_h, e_k = exps
     out = [1.0, 0.0, 0.0][:nderiv + 1]
     if e_s:
         out = _leibniz(out, [s_arr, 1.0, 0.0][:nderiv + 1])
@@ -218,7 +191,6 @@ def _eval(f: LameFunction, s, s_mu_sign, s_nu_sign, nderiv):
             factor += [s_arr * np.sign(w) / v, -semifocal2 / v ** 3]
         out = _leibniz(out, factor[:nderiv + 1])
     pv = np.polynomial.polynomial
-    b = f.coeffs
     t = 1.0 - s_arr * s_arr / sys.h2
     P = [pv.polyval(t, b)]
     if nderiv:
@@ -233,20 +205,25 @@ def _eval(f: LameFunction, s, s_mu_sign, s_nu_sign, nderiv):
     return out[0] if nderiv == 0 else tuple(out)
 
 
+def _parts(f: LameFunction):
+    """The (system, psi exponents, coefficients) that ``_eval`` reads."""
+    return f.system, psi_exponents(f.cls.tag, f.n), f.coeffs
+
+
 def eval_lame(f: LameFunction, s, s_mu_sign: int = 1, s_nu_sign: int = 1):
     """Evaluate E(s) = psi(s) P(t(s)) with octant-signed radical factors."""
-    return _eval(f, s, s_mu_sign, s_nu_sign, 0)
+    return _eval(*_parts(f), s, s_mu_sign, s_nu_sign, 0)
 
 
 def eval_lame_derivative(f: LameFunction, s, s_mu_sign: int = 1, s_nu_sign: int = 1):
     """(E(s), E'(s)) by the product rule on psi * P."""
-    return _eval(f, s, s_mu_sign, s_nu_sign, 1)
+    return _eval(*_parts(f), s, s_mu_sign, s_nu_sign, 1)
 
 
 def eval_lame_second_derivative(f: LameFunction, s, s_mu_sign: int = 1,
                                 s_nu_sign: int = 1):
     """(E, E', E'') with fully analytic derivatives."""
-    return _eval(f, s, s_mu_sign, s_nu_sign, 2)
+    return _eval(*_parts(f), s, s_mu_sign, s_nu_sign, 2)
 
 
 def eval_lame_condition(f: LameFunction, s):

@@ -88,14 +88,8 @@ def surface_I(f: LameFunction, rel_tol: float = 1e-10) -> float:
 
 def surface_values(f: LameFunction):
     """E, E', F, F' at lambda = a (positive-octant signs)."""
-    sys = f.system
-    E, dE = eval_lame_derivative(f, sys.a)
-    I = surface_I(f)
-    # at lambda = a: sqrt(a^2 - k^2) = c, sqrt(a^2 - h^2) = b
-    dI = -1.0 / (E * E * sys.b * sys.c)
-    F = (2 * f.n + 1) * E * I
-    dF = (2 * f.n + 1) * (dE * I + E * dI)
-    return E, dE, F, dF
+    second = eval_F(f, f.system.a)
+    return (*eval_lame_derivative(f, f.system.a), second.F_value, second.dF_dlambda)
 
 
 def eval_F(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> SecondKindEval:

@@ -166,6 +166,9 @@ def test_acceptance_7_bem_cross_validation(capsys):
 
 
 def test_acceptance_8_interface_conditions(capsys):
+    # the exterior series converges like (lambda_source / a)^n on the surface,
+    # so a moderately interior charge is needed for N = 12 to resolve the
+    # interface to 1e-3; deeper charges require larger N
     sys = new_system(15.0, 12.0, 10.0)
     charges = [PointCharge(1.0, 1.0, 1.0, 1.0)]
     coeffs = expansion_coefficients(sys, charges, WATER, 12)

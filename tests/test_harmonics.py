@@ -12,6 +12,7 @@ from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                exterior_solid, gamma, interior_matrix,
                                interior_solid, surface_harmonic)
 from ellharm.lame1 import build_tridiagonal, class_of, eval_lame, lame_function
+from ellharm.solvation import reaction_potential
 
 
 def test_interior_monopole(sys215):
@@ -42,14 +43,19 @@ def test_interior_matrix_matches_scalar_triple_product(sys215):
     pts = [cart_to_ell(sys215, sx * x, sy * y, sz * z)
            for x, y, z in base for sx, sy, sz in signs]
     fns = [lame_function(sys215, n, p) for n in range(13) for p in range(1, 2 * n + 2)]
-    E3 = interior_matrix(fns, pts)
-    assert E3.shape == (len(pts), len(fns))
-    for i, pt in enumerate(pts):
-        for j, f in enumerate(fns):
-            ref = (eval_lame(f, pt.lam, pt.s_mu, pt.s_nu)
-                   * eval_lame(f, pt.mu, pt.s_mu, pt.s_nu)
-                   * eval_lame(f, pt.nu, pt.s_mu, pt.s_nu))
-            assert E3[i, j] == ref, (i, f.n, f.cls)
+    # a shuffled order mixes classes and degrees inside each psi group
+    np.random.default_rng(4).shuffle(fns)
+    for subset in (fns, fns[::7]):
+        E3 = interior_matrix(subset, pts)
+        assert E3.shape == (len(pts), len(subset))
+        for i, pt in enumerate(pts):
+            for j, f in enumerate(subset):
+                ref = (eval_lame(f, pt.lam, pt.s_mu, pt.s_nu)
+                       * eval_lame(f, pt.mu, pt.s_mu, pt.s_nu)
+                       * eval_lame(f, pt.nu, pt.s_mu, pt.s_nu))
+                assert E3[i, j] == ref, (i, f.n, f.cls)
+    assert interior_matrix([], pts).shape == (len(pts), 0)
+    assert reaction_potential(sys215, {}, (0.3, 0.2, 0.1)) == 0.0
 
 
 def test_interior_harmonicity(sys215):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ellip_harm
 
-from ellharm.coords import cart_to_ell
+from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import BranchPointDerivative, OrderOutOfRange
 from ellharm.lame1 import (build_tridiagonal, class_dim, class_of, eval_lame,
                            eval_lame_condition, eval_lame_derivative,
@@ -84,11 +84,18 @@ def test_tridiagonal_shapes(sys215):
 
 
 def test_lame_equation_residuals(sys215):
-    samples = np.linspace(1.001 * sys215.k, 3 * sys215.k, 20)
-    for n in range(9):
-        for p in range(1, 2 * n + 2):
-            f = lame_function(sys215, n, p)
-            assert lame_residual(f, samples) <= 1e-8, (n, p)
+    # every class and parity, in each of the lambda, mu and nu ranges, away
+    # from the branch points h and k
+    for sys in (sys215, new_system(15.0, 12.0, 10.0), new_system(10.0, 3.0, 1.0)):
+        h, k = sys.h, sys.k
+        ranges = {"lam": np.linspace(1.001 * k, 3 * k, 20),
+                  "mu": np.linspace(1.02 * h, 0.98 * k, 10),
+                  "nu": np.linspace(0.0, 0.98 * h, 10)}
+        for n in range(17):
+            for p in range(1, 2 * n + 2):
+                f = lame_function(sys, n, p)
+                for name, samples in ranges.items():
+                    assert lame_residual(f, samples) <= 1e-8, (sys.key(), n, p, name)
 
 
 def test_leading_coefficient_unity(sys215):

@@ -92,7 +92,7 @@ def test_F_exterior_decay(sys215):
         assert abs(ratio - 0.25) < 0.02 * 0.25
 
 
-def test_surface_memoization(sys215):
+def test_surface_I_is_eval_I_at_a(sys215):
     f = lame_function(sys215, 3, 2)
     v1 = surface_I(f)
     v2 = surface_I(f)

@@ -186,58 +186,6 @@ def test_inversion_through_centre_gives_the_same_energy():
             == solvation_energy(sys, charges, WATER, N=12, table=table).energy_kcal)
 
 
-def _interface_potentials(sys, charges, diel, coeffs):
-    """Interior and exterior potential callables for boundary-condition checks."""
-
-    def phi_in(xyz):
-        coulomb = sum(
-            ch.q / np.linalg.norm(np.subtract(xyz, ch.position)) for ch in charges)
-        return coulomb / diel.eps1 + reaction_potential(sys, coeffs.B, xyz)
-
-    def phi_out(xyz):
-        pt = cart_to_ell(sys, *xyz)
-        return sum(coeffs.C[(n, p)]
-                   * exterior_solid(sys, HarmonicIndex(n, p), pt)
-                   for (n, p) in coeffs.C)
-
-    return phi_in, phi_out
-
-
-def test_interface_conditions():
-    # the exterior series converges like (lambda_source / a)^n on the surface,
-    # so a moderately interior charge is needed for N = 12 to resolve the
-    # interface to 1e-3; deeper charges require larger N
-    sys, _ = _fig3_setup()
-    charges = [PointCharge(1.0, 1.0, 1.0, 1.0)]
-    diel = WATER
-    coeffs = expansion_coefficients(sys, charges, diel, 12)
-    phi_in, phi_out = _interface_potentials(sys, charges, diel, coeffs)
-
-    rng = np.random.default_rng(7)
-    h, k, a = sys.h, sys.k, sys.a
-    delta = 1e-4 * a
-    for _ in range(20):
-        mu = rng.uniform(1.05 * h, 0.95 * k)
-        nu = rng.uniform(0.05 * h, 0.95 * h)
-        sl, sm, sn = rng.choice([-1, 1], 3)
-        p = surface_point(sys, mu, nu, s_mu=sm, s_nu=sn, s_lambda=sl)
-        r = np.array(ell_to_cart(sys, p))
-        grad = 2.0 * r / np.array([a ** 2, sys.b ** 2, sys.c ** 2]) ** 1
-        n_hat = grad / np.linalg.norm(grad)
-
-        v_in, v_out = phi_in(r), phi_out(r)
-        scale = max(abs(v_in), abs(v_out))
-        assert abs(v_in - v_out) <= 1e-3 * scale
-
-        # one-sided second-order normal derivatives from each side
-        d_in = (3 * v_in - 4 * phi_in(r - delta * n_hat)
-                + phi_in(r - 2 * delta * n_hat)) / (2 * delta)
-        d_out = (-3 * v_out + 4 * phi_out(r + delta * n_hat)
-                 - phi_out(r + 2 * delta * n_hat)) / (2 * delta)
-        flux_scale = max(abs(diel.eps1 * d_in), abs(diel.eps2 * d_out))
-        assert abs(diel.eps1 * d_in - diel.eps2 * d_out) <= 1e-2 * flux_scale
-
-
 def test_normal_factor_consistent_with_fd(sys215):
     # lambda-derivative of an interior solid converted by the normal factor
     # must match the Cartesian directional derivative along the normal
