@@ -2,21 +2,22 @@
 Gauss-Legendre rules.
 
 These are deliberately generic -- nothing in this module knows about
-ellipsoids.  The tridiagonal solver handles the mildly non-symmetric
-matrices produced by three-term recurrences by diagonal symmetrization,
-and the adaptive integrator is a 7-15 Gauss-Kronrod pair with bisection
-refinement and a global error budget, including a built-in substitution
-for semi-infinite intervals.
+ellipsoids, and they need only numpy.  The tridiagonal solver handles the
+mildly non-symmetric matrices produced by three-term recurrences by
+diagonal symmetrization and a dense ``numpy.linalg.eigh``; the adaptive
+integrator is a 7-15 Gauss-Kronrod pair with bisection refinement and a
+global error budget, including a built-in substitution for semi-infinite
+intervals.  Gauss-Legendre rules are computed once per order.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonSymmetrizable
 
@@ -82,8 +83,8 @@ def solve_tridiagonal(spec: TridiagonalSpec) -> EigenPairs:
 
     If every product lower[i]*upper[i] is positive the matrix is similar to a
     symmetric tridiagonal one via a diagonal scaling D, and the symmetric
-    problem is solved with a dedicated routine; the eigenvectors of the
-    original matrix are recovered as D @ w.  Otherwise a dense general
+    problem is solved densely with ``numpy.linalg.eigh``; the eigenvectors
+    of the original matrix are recovered as D @ w.  Otherwise a dense general
     eigensolve is used (flagged via ``symmetrized=False``).
     """
     m = spec.dim
@@ -96,7 +97,7 @@ def solve_tridiagonal(spec: TridiagonalSpec) -> EigenPairs:
         # off-diagonal of the symmetrized matrix; the sign matters for
         # eigenvector recovery, not for the spectrum
         off = np.sign(spec.lower) * np.sqrt(prod)
-        vals, w = eigh_tridiagonal(spec.diag, off)
+        vals, w = np.linalg.eigh(TridiagonalSpec(spec.diag, off, off).dense())
         # D[i] / D[i-1] = sqrt(lower[i-1] / upper[i-1])
         D = np.ones(m)
         for i in range(1, m):
@@ -215,13 +216,27 @@ def adaptive_quad(f, lo, hi, rel_tol=1e-10, max_subdiv=2000) -> QuadratureResult
 # fixed-order Gauss-Legendre
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _reference_rule(order: int):
+    """The ``order``-point rule on [-1, 1], computed once per order and
+    returned as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(order: int, lo: float = -1.0, hi: float = 1.0):
     """Nodes and weights of the ``order``-point Gauss-Legendre rule on [lo, hi].
 
-    Exact for polynomials of degree <= 2*order - 1.
+    Exact for polynomials of degree <= 2*order - 1.  The returned arrays are
+    new on every call; on the default interval they equal ``leggauss``
+    exactly.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _reference_rule(order)
+    if lo == -1.0 and hi == 1.0:
+        return x.copy(), w.copy()
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w

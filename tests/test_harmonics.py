@@ -151,6 +151,9 @@ def test_gamma_quad_order_validated(sys215):
         gamma(sys215, HarmonicIndex(0, 1), quad_order=8)
 
 
+# scipy's reference quadrature warns about its own round-off; the
+# values still agree within the tolerance asserted below
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
 def test_gamma_cross_check_reference_implementation(sys215):
     h2, k2 = sys215.h2, sys215.k2
     for n in range(5):

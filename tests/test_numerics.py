@@ -21,13 +21,17 @@ def test_tridiagonal_2x2_flip():
 
 def test_tridiagonal_eigen_residual_and_ordering():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        m = rng.integers(2, 9)
+    for _ in range(40):
+        m = rng.integers(2, 13)
         diag = rng.normal(size=m) * 10
-        lower = rng.uniform(0.5, 2.0, size=m - 1)
-        upper = rng.uniform(0.5, 2.0, size=m - 1)
+        # each (lower, upper) pair shares a sign, so every product is
+        # positive and both signs of the symmetrized off-diagonal occur
+        sign = rng.choice((-1.0, 1.0), size=m - 1)
+        lower = sign * rng.uniform(0.5, 2.0, size=m - 1)
+        upper = sign * rng.uniform(0.5, 2.0, size=m - 1)
         spec = TridiagonalSpec(diag=diag, lower=lower, upper=upper)
         res = solve_tridiagonal(spec)
+        assert res.symmetrized
         T = spec.dense()
         scale = np.max(np.abs(T))
         assert len(res.values) == m
@@ -132,6 +136,23 @@ def test_gauss_legendre_order2():
 def test_gauss_legendre_cubic_exact():
     x, w = gauss_legendre(2, 0.0, 1.0)
     assert abs(float(w @ x ** 3) - 0.25) < 1e-15
+
+
+def test_gauss_legendre_rule_cache():
+    for order in (1, 2, 64, 128, 300):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        for _ in range(2):
+            x, w = gauss_legendre(order)
+            assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+            # the caller owns what it gets: writing into it changes no later call
+            x[:] = 7.0
+            w *= -1.0
+    lo, hi = 0.0, math.pi / 2.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * (hi - lo)
+    x, w = gauss_legendre(64, lo, hi)
+    assert np.array_equal(x, lo + half * (ref_x + 1.0))
+    assert np.array_equal(w, half * ref_w)
 
 
 def test_gauss_legendre_validates_order():
