@@ -68,27 +68,30 @@ class HarmonicIndex:
             raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
 
 
-def interior_matrix(functions, points) -> np.ndarray:
-    """E3 of every function at every point, as a (points, functions) array.
-
-    The functions that share a system and psi exponents (at most eight
-    groups for any degree) are evaluated in one pass over their zero-padded
-    coefficient matrix.  Each entry is the triple product E(lam) E(mu)
-    E(nu), in that order, so it equals the scalar evaluation bit for bit.
-    """
-    coords = np.array([(pt.lam, pt.mu, pt.nu, pt.s_mu, pt.s_nu) for pt in points],
-                      dtype=float).reshape(-1, 5).T
-    s, sm, sn = coords[:3], coords[3], coords[4]
-    groups = {}
+def _padded(functions):
+    """The (3, F) psi exponents and zero-padded (m, F) coefficients of the functions."""
+    b = np.zeros((max(len(f.coeffs) for f in functions), len(functions)))
     for j, f in enumerate(functions):
-        groups.setdefault((f.system, psi_exponents(f.cls.tag, f.n)), []).append(j)
-    out = np.empty((s.shape[1], len(functions)))
-    for (sys, exps), cols in groups.items():
-        b = np.zeros((max(len(functions[j].coeffs) for j in cols), len(cols)))
-        for i, j in enumerate(cols):
-            b[:len(functions[j].coeffs), i] = functions[j].coeffs
-        E = _eval(sys, exps, b, s, sm, sn, 0)
-        out[:, cols] = (E[:, 0] * E[:, 1] * E[:, 2]).T
+        b[:len(f.coeffs), j] = f.coeffs
+    return np.array([psi_exponents(f.cls.tag, f.n) for f in functions]).T, b
+
+
+def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
+    """E3 of the columns of ``b`` at the points, C-contiguous (points, columns):
+    products E(lam) E(mu) E(nu), in that order, equal to the scalar ones bit for bit."""
+    coords = np.array([(pt.lam, pt.mu, pt.nu, pt.s_mu, pt.s_nu) for pt in points],
+                      dtype=float).reshape(-1, 5)
+    E = _eval(sys, exps, b, coords.T[:3, :, None], coords[:, 3:4], coords[:, 4:], 0)
+    return E[0] * E[1] * E[2]
+
+
+def interior_matrix(functions, points) -> np.ndarray:
+    """E3 of every function at every point, as a (points, functions) array,
+    in one pass per system."""
+    out = np.empty((len(points), len(functions)))
+    for sys in {f.system for f in functions}:
+        cols = [j for j, f in enumerate(functions) if f.system == sys]
+        out[:, cols] = _interior_pass(sys, *_padded([functions[j] for j in cols]), points)
     return out
 
 
@@ -152,32 +155,36 @@ def gamma(sys: EllipsoidSystem, idx: HarmonicIndex,
 
 @dataclass(frozen=True)
 class NormalizationTable:
-    """Everything computed once per geometry, keyed by (n, p) for n <= N:
-    the Lame functions, gamma and E, E', F, F' at lambda = a."""
+    """Everything computed once per geometry for n <= N: the Lame functions
+    and gamma by (n, p), and read-only arrays with (n, p) in column n^2+p-1."""
 
     system: EllipsoidSystem
     gamma: dict            # (n, p) -> value
     error_estimates: dict  # (n, p) -> order-doubling relative change
     functions: dict        # (n, p) -> LameFunction
-    surface: dict          # (n, p) -> (E, E', F, F') at lambda = a
+    exponents: np.ndarray  # (3, columns) psi exponents e_s, e_h, e_k
+    coeffs: np.ndarray     # (m, columns) zero-padded coefficients of P
+    prefactor: np.ndarray  # 4 pi / ((2n + 1) gamma) by column
+    surface: np.ndarray    # (4, columns) E, E', F, F' at lambda = a
 
 
 def build_normalization_table(sys: EllipsoidSystem, N: int,
                               quad_order: int = GAMMA_ORDER_DEFAULT) -> NormalizationTable:
-    fns, gam, errs, surf = {}, {}, {}, {}
-    for n in range(N + 1):
-        for p in range(1, 2 * n + 2):
-            idx = HarmonicIndex(n, p)
-            gam[(n, p)], errs[(n, p)] = gamma(sys, idx, quad_order, with_error=True)
-            fns[(n, p)] = f = lame_function(sys, n, p)
-            surf[(n, p)] = surface_values(f)
-    return NormalizationTable(system=sys, gamma=gam, error_estimates=errs,
-                              functions=fns, surface=surf)
+    fns, gam, errs = {}, {}, {}
+    for key in [(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)]:
+        gam[key], errs[key] = gamma(sys, HarmonicIndex(*key), quad_order, with_error=True)
+        fns[key] = lame_function(sys, *key)
+    arrays = (*_padded(list(fns.values())),
+              np.array([4.0 * math.pi / (2 * n + 1) / g for (n, _), g in gam.items()]),
+              np.array([surface_values(f) for f in fns.values()]).T.copy())
+    for arr in arrays:
+        arr.flags.writeable = False
+    return NormalizationTable(sys, gam, errs, fns, *arrays)
 
 
 def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | None):
     """``table`` after checking that it was built for ``sys`` and reaches
-    degree N (a new table when it is None), and its (n, p) keys up to N."""
+    degree N (a new table when it is None)."""
     if table is None:
         table = build_normalization_table(sys, N)
     elif table.system != sys:
@@ -185,7 +192,7 @@ def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | Non
             f"table built for semiaxes {table.system.key()}, used for {sys.key()}")
     elif (N, 1) not in table.gamma:
         raise OrderOutOfRange(f"table does not reach degree N={N}")
-    return table, [(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)]
+    return table
 
 
 @dataclass
@@ -245,9 +252,11 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
     if abs(fld.lam) <= abs(src.lam):
         raise OrderingViolation(
             f"field |lambda|={abs(fld.lam)} must exceed source |lambda|={abs(src.lam)}")
-    table, keys = _checked_table(sys, N, table)
-    E3_src, E3_fld = (dict(zip(keys, row)) for row in interior_matrix(
-        [table.functions[key] for key in keys], [src, fld]).tolist())
+    table = _checked_table(sys, N, table)
+    H = (N + 1) ** 2
+    E3_src, E3_fld = _interior_pass(sys, table.exponents[:, :H], table.coeffs[:, :H],
+                                    [src, fld]).tolist()
+    prefactor = table.prefactor.tolist()
 
     terms = {}
     diagnostics = {}
@@ -257,12 +266,12 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
     for n in range(N + 1):
         max_amp = 0.0
         for p in range(1, 2 * n + 2):
+            j = n * n + p - 1
             f = table.functions[(n, p)]
             g = table.gamma[(n, p)]
-            E3 = E3_src[(n, p)]
-            F3 = (2 * n + 1) * E3_fld[(n, p)] * eval_I(f, abs(fld.lam))
-            pref = 4.0 * math.pi / (2 * n + 1) / g
-            term = pref * E3 * F3
+            E3 = E3_src[j]
+            F3 = (2 * n + 1) * E3_fld[j] * eval_I(f, abs(fld.lam))
+            term = prefactor[j] * E3 * F3
             total += term
             amp = _rounding_amplification(f, src, fld)
             max_amp = max(max_amp, amp)

@@ -149,7 +149,7 @@ def lame_function(sys: EllipsoidSystem, n: int, p: int) -> LameFunction:
 
 
 def _leibniz(x, y):
-    """Product of two equally truncated (value, d/ds, d2/ds2) lists."""
+    """Product of two (value, d/ds, d2/ds2) lists, truncated to x's length."""
     out = [x[0] * y[0]]
     if len(x) > 1:
         out.append(x[1] * y[0] + x[0] * y[1])
@@ -158,48 +158,58 @@ def _leibniz(x, y):
     return out
 
 
+def _where(present, factor):
+    """A psi factor (value, derivatives) in the columns where its exponent
+    ``present`` is set, and the factor 1 elsewhere."""
+    return [np.where(present, x, one) for x, one in zip(factor, (1.0, 0.0, 0.0))]
+
+
 def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
     """E and its first ``nderiv`` s-derivatives by one product rule over the
     factors of psi, with exponents ``exps``, then P(t(s)).  The value keeps
     the multiplication order ((1 s) sqrt) sqrt P of the value-only path, so
     E does not depend on ``nderiv``.
 
-    ``b`` holds the coefficients of P, or an (m, F) matrix of F functions
-    that share psi, zero-padded at high degree; each result then has a
-    leading axis of length F.  Horner's rule adds only exact zeros for the
-    padding, so every function's values equal its one-vector evaluation bit
-    for bit."""
+    ``b`` holds the coefficients of P, or an (m, F) matrix of F functions,
+    zero-padded at high degree, whose values lie on a trailing axis that s
+    and the signs broadcast against; the exponents are then ints or one per
+    column.  A factor a column lacks is the exact factor 1 and Horner's rule
+    adds only exact zeros for the padding, so every function's values equal
+    its own evaluation bit for bit."""
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
     e_s, e_h, e_k = exps
+    masked = isinstance(e_s, np.ndarray)
     out = [1.0, 0.0, 0.0][:nderiv + 1]
-    if e_s:
-        out = _leibniz(out, [s_arr, 1.0, 0.0][:nderiv + 1])
+    if masked or e_s:
+        factor = [s_arr, 1.0, 0.0][:nderiv + 1]
+        out = _leibniz(out, _where(e_s, factor) if masked else factor)
     sgn = np.where(s_arr >= 0, 1.0, -1.0)
     for present, semifocal2, octant_sign in (
             (e_h, sys.h2, s_mu_sign), (e_k, sys.k2, s_nu_sign)):
-        if not present:
+        if not (masked or present):
             continue
         w = s_arr * s_arr - semifocal2
         v = sgn * octant_sign * np.sqrt(np.abs(w))
         factor = [v]
         if nderiv:
-            if np.any(v == 0):
+            if np.any(v == 0) and np.any(present):
                 raise BranchPointDerivative(
                     "derivative unbounded at a branch point |s| = h or k")
             factor += [s_arr * np.sign(w) / v, -semifocal2 / v ** 3]
-        out = _leibniz(out, factor[:nderiv + 1])
+        out = _leibniz(out, _where(present, factor) if masked else factor)
     pv = np.polynomial.polynomial
+    tensor = b.ndim == 1   # else the columns of b lie on the trailing axis
     t = 1.0 - s_arr * s_arr / sys.h2
-    P = [pv.polyval(t, b)]
+    P = [pv.polyval(t, b, tensor)]
     if nderiv:
         tp = -2.0 * s_arr / sys.h2
         db = pv.polyder(b)
-        Pt = pv.polyval(t, db)
-        P += [Pt * tp,
-              pv.polyval(t, pv.polyder(db)) * tp * tp + Pt * (-2.0 / sys.h2)]
-    out = _leibniz(out, P[:nderiv + 1])
+        Pt = pv.polyval(t, db, tensor)
+        Ptt = pv.polyval(t, pv.polyder(db), tensor)
+        P += [Pt * tp, Ptt * tp * tp + Pt * (-2.0 / sys.h2)]
+    out = _leibniz(out, P)
     if scalar:
         out = [float(v[0]) for v in out]
     return out[0] if nderiv == 0 else tuple(out)

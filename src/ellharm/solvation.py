@@ -22,14 +22,13 @@ configurable conversion constant KCAL_PER_E2_PER_ANGSTROM.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, ResonantDenominator
-from .harmonics import NormalizationTable, _checked_table, interior_matrix
+from .harmonics import NormalizationTable, _checked_table, _interior_pass, interior_matrix
 from .lame1 import N_MAX_DEFAULT, lame_function
 from .lame2 import surface_values
 
@@ -98,77 +97,86 @@ def _check_interior(sys: EllipsoidSystem, charges):
 
 def _interior_terms(sys: EllipsoidSystem, charges, N: int,
                     table: NormalizationTable | None):
-    """The table, its keys, q^T E3 (E3 the charges x keys matrix) and the
-    source coefficients G, both as arrays over the keys."""
+    """The table, q^T E3 (E3 the C-contiguous charges x columns matrix) and
+    the source coefficients G, over the table's first (N + 1)^2 columns."""
     _check_interior(sys, charges)
-    table, keys = _checked_table(sys, N, table)
-    qE3 = np.array([ch.q for ch in charges], dtype=float) @ interior_matrix(
-        [table.functions[key] for key in keys],
+    table = _checked_table(sys, N, table)
+    H = (N + 1) ** 2
+    qE3 = np.array([ch.q for ch in charges], dtype=float) @ _interior_pass(
+        sys, table.exponents[:, :H], table.coeffs[:, :H],
         [cart_to_ell(sys, *ch.position) for ch in charges])
-    pref = np.array([4.0 * math.pi / (2 * n + 1) / table.gamma[(n, p)]
-                     for n, p in keys])
-    return table, keys, qE3, pref * qE3
+    return table, qE3, table.prefactor[:H] * qE3
 
 
 def source_coefficients(sys: EllipsoidSystem, charges, N: int,
                         table: NormalizationTable | None = None) -> dict:
     """G_n^p for all (n <= N, p)."""
-    _, keys, _, G = _interior_terms(sys, charges, N, table)
-    return dict(zip(keys, G.tolist()))
+    table, _, G = _interior_terms(sys, charges, N, table)
+    return dict(zip(table.functions, G.tolist()))
 
 
 def _surface(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
-    """E, E', F, F' at lambda = a by (n, p), from the table or for ``keys`` alone."""
+    """E, E', F, F' at lambda = a by row, from the table or for ``keys`` alone."""
     if table is None:
-        return {key: surface_values(lame_function(sys, *key)) for key in keys}
-    return _checked_table(sys, max((n for n, _ in keys), default=0), table)[0].surface
+        return np.array([surface_values(lame_function(sys, *key))
+                         for key in keys]).reshape(-1, 4).T
+    table = _checked_table(sys, max((n for n, _ in keys), default=0), table)
+    return table.surface[:, [n * n + p - 1 for n, p in keys]]
+
+
+def _reaction_factor(diel: DielectricModel, surface, keys) -> np.ndarray:
+    """R in B = R G by column of ``surface`` (rows E, E', F, F' at lambda = a,
+    columns named by ``keys``); identically zero when eps1 == eps2."""
+    e1, e2 = diel.eps1, diel.eps2
+    E, dE, F, dF = surface
+    if e1 == e2:
+        return np.zeros(len(E))
+    denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
+    if np.any(resonant := np.abs(denom) < 1e-12):
+        raise ResonantDenominator("reaction denominator vanishes at (n, p) = "
+                                  "({}, {})".format(*keys[np.argmax(resonant)]))
+    return (e1 - e2) / (e1 * e2) * (F / E) / denom
 
 
 def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
     """B_n^p from G_n^p; identically zero when eps1 == eps2."""
-    e1, e2 = diel.eps1, diel.eps2
-    if e1 == e2:
+    if diel.eps1 == diel.eps2:
         return dict.fromkeys(G, 0.0)
-    surface = _surface(sys, G, table)
-    B = {}
-    for (n, p), g in G.items():
-        E, dE, F, dF = surface[(n, p)]
-        denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
-        if abs(denom) < 1e-12:
-            raise ResonantDenominator(
-                f"reaction denominator vanishes at (n, p) = ({n}, {p})")
-        B[(n, p)] = (e1 - e2) / (e1 * e2) * (F / E) / denom * g
-    return B
+    R = _reaction_factor(diel, _surface(sys, list(G), table), list(G))
+    return {key: r * g for (key, g), r in zip(G.items(), R.tolist())}
 
 
 def exterior_coefficients(G: dict, B: dict, sys: EllipsoidSystem,
                           diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
     """C_n^p = G_n^p / eps1 + B_n^p E(a)/F(a)."""
-    surface = _surface(sys, G, table)
-    C = {}
-    for (n, p), g in G.items():
-        E, _, F, _ = surface[(n, p)]
-        C[(n, p)] = g / diel.eps1 + B[(n, p)] * E / F
-    return C
+    E, _, F, _ = _surface(sys, list(G), table)
+    return {key: g / diel.eps1 + B[key] * e / f
+            for (key, g), e, f in zip(G.items(), E.tolist(), F.tolist())}
 
 
 def expansion_coefficients(sys: EllipsoidSystem, charges, diel: DielectricModel,
                            N: int, table: NormalizationTable | None = None
                            ) -> ExpansionCoefficients:
-    table, _ = _checked_table(sys, N, table)
+    table = _checked_table(sys, N, table)
     G = source_coefficients(sys, charges, N, table=table)
     B = reaction_coefficients(G, sys, diel, table=table)
     C = exterior_coefficients(G, B, sys, diel, table=table)
     return ExpansionCoefficients(N=N, G=G, B=B, C=C)
 
 
-def reaction_potential(sys: EllipsoidSystem, B: dict, point) -> float:
+def reaction_potential(sys: EllipsoidSystem, B: dict, point,
+                       table: NormalizationTable | None = None) -> float:
     """psi(r) = sum B_n^p E3_n^p(r) at an interior Cartesian point."""
     keys = sorted(B)
-    fns = [lame_function(sys, *key) for key in keys]
-    E3 = interior_matrix(fns, [cart_to_ell(sys, *point)])[0]
+    pts = [cart_to_ell(sys, *point)]
+    if table is None:
+        E3 = interior_matrix([lame_function(sys, *key) for key in keys], pts)[0]
+    else:
+        table = _checked_table(sys, max((n for n, _ in keys), default=0), table)
+        cols = [n * n + p - 1 for n, p in keys]
+        E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], pts)[0]
     return float(E3 @ np.array([B[key] for key in keys]))
 
 
@@ -176,9 +184,9 @@ def solvation_energy(sys: EllipsoidSystem, charges, diel: DielectricModel,
                      N: int = N_MAX_DEFAULT,
                      table: NormalizationTable | None = None) -> EnergyReport:
     """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) (q^T E3) B."""
-    table, keys, qE3, G = _interior_terms(sys, charges, N, table)
-    B = reaction_coefficients(dict(zip(keys, G.tolist())), sys, diel, table=table)
-    energy = 0.5 * float(qE3 @ np.array([B[key] for key in keys]))
+    table, qE3, G = _interior_terms(sys, charges, N, table)
+    B = _reaction_factor(diel, table.surface[:, :len(G)], list(table.functions)) * G
+    energy = 0.5 * float(qE3 @ B)
     return EnergyReport(energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                         energy_gaussian=energy, N=N)
 

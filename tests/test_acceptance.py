@@ -171,12 +171,14 @@ def test_acceptance_8_interface_conditions(capsys):
     # interface to 1e-3; deeper charges require larger N
     sys = new_system(15.0, 12.0, 10.0)
     charges = [PointCharge(1.0, 1.0, 1.0, 1.0)]
-    coeffs = expansion_coefficients(sys, charges, WATER, 12)
+    table = build_normalization_table(sys, 12)
+    coeffs = expansion_coefficients(sys, charges, WATER, 12, table=table)
 
     def phi_in(xyz):
         coulomb = sum(ch.q / np.linalg.norm(np.subtract(xyz, ch.position))
                       for ch in charges)
-        return coulomb / WATER.eps1 + reaction_potential(sys, coeffs.B, xyz)
+        return coulomb / WATER.eps1 + reaction_potential(sys, coeffs.B, xyz,
+                                                          table=table)
 
     def phi_out(xyz):
         pt = cart_to_ell(sys, *xyz)

@@ -11,7 +11,8 @@ from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                build_normalization_table, coulomb_expand,
                                exterior_solid, gamma, interior_matrix,
                                interior_solid, surface_harmonic)
-from ellharm.lame1 import build_tridiagonal, class_of, eval_lame, lame_function
+from ellharm.lame1 import (_eval, build_tridiagonal, class_of, eval_lame,
+                           lame_function, psi_exponents)
 from ellharm.solvation import reaction_potential
 
 
@@ -56,6 +57,51 @@ def test_interior_matrix_matches_scalar_triple_product(sys215):
                 assert E3[i, j] == ref, (i, f.n, f.cls)
     assert interior_matrix([], pts).shape == (len(pts), 0)
     assert reaction_potential(sys215, {}, (0.3, 0.2, 0.1)) == 0.0
+
+
+@pytest.fixture(scope="module")
+def table12_fig3(sys_fig3):
+    return build_normalization_table(sys_fig3, 12)
+
+
+def _away_from_branch_points(sys):
+    """s in each coordinate range, both signs, with every octant sign
+    pair: (s, s_mu, s_nu) arrays."""
+    h, k = sys.h, sys.k
+    s = [f * x for x in (1.2 * k, 3.0 * k, h + 0.3 * (k - h), h + 0.8 * (k - h),
+                         0.3 * h, 0.9 * h) for f in (1, -1)]
+    grid = [(x, sm, sn) for x in s for sm in (1, -1) for sn in (1, -1)]
+    return tuple(np.array(col, dtype=float) for col in zip(*grid))
+
+
+@pytest.mark.parametrize("geometry", ["sys_fig3", "sys215"])
+def test_all_column_pass_equals_per_function_eval(geometry, request,
+                                                  table12_fig3, table16):
+    # the table's arrays evaluate every (n, p) with n <= 12 at once; table16
+    # shows that the first 169 columns of a larger table serve as well
+    sys = request.getfixturevalue(geometry)
+    table = table12_fig3 if geometry == "sys_fig3" else table16
+    s, sm, sn = _away_from_branch_points(sys)
+    for nderiv in (0, 1, 2):
+        got = _eval(sys, table.exponents[:, :169], table.coeffs[:, :169],
+                    s[:, None], sm[:, None], sn[:, None], nderiv)
+        got = got if nderiv else (got,)
+        for n in range(13):
+            for p in range(1, 2 * n + 2):
+                f = table.functions[(n, p)]
+                ref = _eval(sys, psi_exponents(f.cls.tag, n), f.coeffs,
+                            s, sm, sn, nderiv)
+                ref = ref if nderiv else (ref,)
+                for d in range(nderiv + 1):
+                    assert np.array_equal(got[d][:, n * n + p - 1], ref[d]), \
+                        (n, p, nderiv, d)
+
+
+def test_table_arrays_are_read_only(table12_fig3):
+    t = table12_fig3
+    for arr in (t.exponents, t.coeffs, t.prefactor, t.surface):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
 
 
 def test_interior_harmonicity(sys215):

@@ -8,7 +8,7 @@ from ellharm.coords import normal_derivative_factor
 from ellharm.coords import new_system
 from ellharm.errors import (ChargeOutsideEllipsoid, OrderOutOfRange,
                             ValidationError)
-from ellharm.lame1 import lame_function
+from ellharm.lame1 import eval_lame, lame_function
 from ellharm.lame2 import surface_values
 from ellharm.harmonics import (HarmonicIndex, build_normalization_table,
                                exterior_solid)
@@ -172,6 +172,64 @@ def test_larger_table_gives_the_same_energy(sys215):
     large = build_normalization_table(sys215, 16)
     assert (solvation_energy(sys215, charges, WATER, N=12, table=large).energy_kcal
             == solvation_energy(sys215, charges, WATER, N=12, table=small).energy_kcal)
+
+
+def _reference_energy(sys, charges, diel, N, table, surface):
+    """(1/2) (q^T E3) B from per-function E3 triple products and the per-key
+    B formula, with the table's functions and gamma and ``surface``, E, E',
+    F, F' at lambda = a by (n, p)."""
+    keys = [(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)]
+    pts = [cart_to_ell(sys, *ch.position) for ch in charges]
+    s_mu = np.array([pt.s_mu for pt in pts])
+    s_nu = np.array([pt.s_nu for pt in pts])
+    E3 = np.empty((len(pts), len(keys)))
+    for j, key in enumerate(keys):
+        f = table.functions[key]
+        E3[:, j] = (eval_lame(f, [pt.lam for pt in pts], s_mu, s_nu)
+                    * eval_lame(f, [pt.mu for pt in pts], s_mu, s_nu)
+                    * eval_lame(f, [pt.nu for pt in pts], s_mu, s_nu))
+    qE3 = np.array([ch.q for ch in charges]) @ E3
+    e1, e2 = diel.eps1, diel.eps2
+    B = []
+    for j, (n, p) in enumerate(keys):
+        g = 4.0 * math.pi / (2 * n + 1) / table.gamma[(n, p)] * qE3[j]
+        E, dE, F, dF = surface[(n, p)]
+        denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
+        B.append((e1 - e2) / (e1 * e2) * (F / E) / denom * g)
+    return 0.5 * float(qE3 @ np.array(B))
+
+
+def test_table_energy_equals_per_function_reference():
+    # seeded charge sets of 1 to 30 charges, some of them on the x = 0,
+    # y = 0 and z = 0 planes, where radical factors vanish
+    sys, _ = _fig3_setup()
+    table = build_normalization_table(sys, 12)
+    surface = {key: surface_values(f) for key, f in table.functions.items()}
+    rng = np.random.default_rng(17)
+    axes = np.array([sys.a, sys.b, sys.c])
+    for count in [1, 2, 3, 5, 8, 13, 16, 21, 30] * 4:
+        xyz = rng.uniform(-0.55, 0.55, (count, 3)) * axes
+        xyz[::3, 0] = 0.0
+        xyz[1::4, 1] = 0.0
+        xyz[2::5, 2] = 0.0
+        charges = [PointCharge(*map(float, r), float(q))
+                   for r, q in zip(xyz, rng.uniform(-1.0, 1.0, count))]
+        got = solvation_energy(sys, charges, WATER, N=12, table=table).energy_gaussian
+        assert got == _reference_energy(sys, charges, WATER, 12, table, surface), count
+
+
+def test_reaction_potential_with_and_without_table():
+    sys, charges = _fig3_setup()
+    table = build_normalization_table(sys, 12)
+    B = expansion_coefficients(sys, charges, WATER, 12, table=table).B
+    low = {key: b for key, b in B.items() if key[0] <= 5 and key[1] % 2}
+    for xyz in [(1.0, 1.0, 1.0), (-4.0, 0.0, 2.5), (0.0, -3.0, 0.0)]:
+        for coeffs in (B, low):
+            assert (reaction_potential(sys, coeffs, xyz, table=table)
+                    == reaction_potential(sys, coeffs, xyz))
+    with pytest.raises(ValidationError):
+        reaction_potential(new_system(16.0, 12.0, 10.0), B, (1.0, 1.0, 1.0),
+                           table=table)
 
 
 def test_inversion_through_centre_gives_the_same_energy():
