@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -44,9 +45,12 @@ def _parse_triple(text, name):
     if len(parts) != 3:
         raise ValidationError(f"{name} must be three comma-separated numbers")
     try:
-        return tuple(float(v) for v in parts)
+        values = tuple(float(v) for v in parts)
     except ValueError as exc:
         raise ValidationError(f"bad {name}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{name} must be finite, got {text!r}")
+    return values
 
 
 def read_charge_file(path):
@@ -69,6 +73,8 @@ def read_charge_file(path):
                 x, y, z, q = map(float, parts)
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, (x, y, z, q))):
+                raise ValidationError(f"{path}:{lineno}: non-finite field in {line!r}")
             charges.append(solvation.PointCharge(x, y, z, q))
     if not charges:
         raise ValidationError(f"charge file {path} contains no charges")
@@ -162,6 +168,8 @@ def cmd_lame(args):
     sys = _system(args)
     f = lame_function(sys, args.degree, args.p)
     svals = [float(v) for v in args.s.split(",")]
+    if not all(map(math.isfinite, svals)):
+        raise ValidationError(f"--s values must be finite, got {args.s!r}")
     rows = [{"s": s, "E": eval_lame(f, s)} for s in svals]
     config = {"semiaxes": args.semiaxes, "subcommand": "lame",
               "degree": args.degree, "p": args.p, "s": args.s}

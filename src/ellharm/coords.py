@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateEllipsoid, RangeViolation, RoundTripFailure
 
 __all__ = [
@@ -113,8 +111,11 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     The result is round-trip verified against ``ell_to_cart`` to 1e-6
     absolute (the documented accuracy of the direct cubic-root transform);
     ``RoundTripFailure`` is raised when the verification fails, which happens
-    far from the ellipsoid where the cubic becomes ill-conditioned.
+    far from the ellipsoid where the cubic becomes ill-conditioned.  A
+    non-finite coordinate raises ``RangeViolation``.
     """
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
     h2, k2 = sys.h2, sys.k2
     x2, y2, z2 = x * x, y * y, z * z
     w1 = -(x2 + y2 + z2 + h2 + k2)

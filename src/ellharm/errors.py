@@ -52,12 +52,7 @@ class BranchPointDerivative(ValidationError):
 # --- numerical ----------------------------------------------------------
 
 class NonSymmetrizable(NumericalError):
-    """Tridiagonal matrix cannot be symmetrized (some off-diagonal product <= 0)
-    and the dense fallback produced a complex spectrum."""
-
-
-class MaxSubdivisions(NumericalError):
-    """Adaptive quadrature hit its subdivision cap before reaching tolerance."""
+    """Tridiagonal matrix cannot be symmetrized (some off-diagonal product <= 0)."""
 
 
 class NonConvergence(NumericalError):

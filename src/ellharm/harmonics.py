@@ -30,8 +30,7 @@ import numpy as np
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (NonConvergence, OrderOutOfRange, OrderingViolation,
                      ValidationError)
-from .lame1 import (_eval, eval_lame, eval_lame_condition, lame_function,
-                    psi_exponents)
+from .lame1 import _condition, _eval, eval_lame, lame_function, psi_exponents
 from .lame2 import eval_I, surface_values
 from .numerics import gauss_legendre
 
@@ -209,27 +208,6 @@ class CoulombExpansion:
         return self.partial_sums[-1]
 
 
-def _radical_vanishes(f, point: EllipsoidalPoint) -> bool:
-    """True if a radical factor of psi is exactly zero at a coordinate of
-    the point, so that the solid harmonic there is exactly zero."""
-    e_s, e_h, e_k = psi_exponents(f.cls.tag, f.n)
-    sys = f.system
-    return any((e_s and s == 0.0) or (e_h and s * s == sys.h2)
-               or (e_k and s * s == sys.k2)
-               for s in (point.lam, point.mu, point.nu))
-
-
-def _rounding_amplification(f, src: EllipsoidalPoint,
-                            fld: EllipsoidalPoint) -> float:
-    """First-order rounding amplification of the term E3(src) F3(fld)."""
-    if _radical_vanishes(f, src) or _radical_vanishes(f, fld):
-        return 0.0
-    cond = eval_lame_condition(f, [src.lam, src.mu, src.nu,
-                                   fld.lam, fld.mu, fld.nu])
-    # the field lambda counts twice more, for the 1/E^2 inside I_n^p
-    return float(cond.sum() + 2.0 * cond[3])
-
-
 def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
                    table: NormalizationTable | None = None) -> CoulombExpansion:
     """Degree-truncated ellipsoidal expansion of 1/|r - r'|.
@@ -254,33 +232,30 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
             f"field |lambda|={abs(fld.lam)} must exceed source |lambda|={abs(src.lam)}")
     table = _checked_table(sys, N, table)
     H = (N + 1) ** 2
-    E3_src, E3_fld = _interior_pass(sys, table.exponents[:, :H], table.coeffs[:, :H],
-                                    [src, fld]).tolist()
-    prefactor = table.prefactor.tolist()
+    keys = list(table.functions)[:H]
+    exps, coeffs = table.exponents[:, :H], table.coeffs[:, :H]
+    E3_src, E3_fld = _interior_pass(sys, exps, coeffs, [src, fld])
+    I = np.array([eval_I(table.functions[key], abs(fld.lam)) for key in keys])
+    width = 2 * np.arange(N + 1) + 1   # degree n has 2n + 1 columns
+    F3 = np.repeat(width, width) * E3_fld * I
+    terms = table.prefactor[:H] * E3_src * F3
 
-    terms = {}
-    diagnostics = {}
-    partial_sums = []
-    flagged = []
-    total = 0.0
-    for n in range(N + 1):
-        max_amp = 0.0
-        for p in range(1, 2 * n + 2):
-            j = n * n + p - 1
-            f = table.functions[(n, p)]
-            g = table.gamma[(n, p)]
-            E3 = E3_src[j]
-            F3 = (2 * n + 1) * E3_fld[j] * eval_I(f, abs(fld.lam))
-            term = prefactor[j] * E3 * F3
-            total += term
-            amp = _rounding_amplification(f, src, fld)
-            max_amp = max(max_amp, amp)
-            terms[(n, p)] = term
-            diagnostics[(n, p)] = {
-                "absE": abs(E3), "absF": abs(F3), "gamma": g, "amplification": amp,
-            }
-        partial_sums.append(total)
-        if max_amp > CANCELLATION_THRESHOLD:
-            flagged.append(n)
-    return CoulombExpansion(N=N, terms=terms, partial_sums=partial_sums,
-                            diagnostics=diagnostics, cancellation_degrees=flagged)
+    s = np.array([src.lam, src.mu, src.nu, fld.lam, fld.mu, fld.nu])[:, None]
+    cond = _condition(sys, coeffs, s)
+    # the field lambda counts twice more, for the 1/E^2 inside I_n^p
+    amp = cond.sum(axis=0) + 2.0 * cond[3]
+    # a radical factor of psi exactly zero at a coordinate: the term is
+    # exactly zero and loses nothing
+    radical_zero = np.stack([s == 0.0, s * s == sys.h2, s * s == sys.k2])
+    amp[np.any(radical_zero & (exps[:, None, :] != 0), axis=(0, 1))] = 0.0
+
+    diagnostics = {
+        key: {"absE": e, "absF": f, "gamma": table.gamma[key], "amplification": a}
+        for key, e, f, a in zip(keys, np.abs(E3_src).tolist(), np.abs(F3).tolist(),
+                                amp.tolist())}
+    return CoulombExpansion(
+        N=N, terms=dict(zip(keys, terms.tolist())),
+        partial_sums=np.cumsum(terms)[np.cumsum(width) - 1].tolist(),
+        diagnostics=diagnostics,
+        cancellation_degrees=[n for n in range(N + 1)
+                              if amp[n * n:(n + 1) ** 2].max() > CANCELLATION_THRESHOLD])

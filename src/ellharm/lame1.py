@@ -110,6 +110,12 @@ def build_tridiagonal(sys: EllipsoidSystem, cls: LameClass) -> TridiagonalSpec:
         C_j = h^2 (q - (2j + sigma)(2j + sigma + 1))
 
     for j = 0 .. class_dim - 1.
+
+    Every off-diagonal product lower[j] upper[j] = C_j A_(j+1), j <= m - 2
+    with m = class_dim, is positive, so ``solve_tridiagonal`` can always
+    symmetrize the matrix: A_(j+1) = 2(j+1)(2j+1+2e_h)(k^2 - h^2) > 0 since
+    k > h, and in every class 2m + sigma = n + 2, so v = 2j + sigma <= n - 2
+    and C_j = h^2 (n(n+1) - v(v+1)) >= h^2 (4n - 2) > 0.
     """
     h2, k2 = sys.h2, sys.k2
     e_s, e_h, e_k = psi_exponents(cls.tag, cls.n)
@@ -236,6 +242,19 @@ def eval_lame_second_derivative(f: LameFunction, s, s_mu_sign: int = 1,
     return _eval(*_parts(f), s, s_mu_sign, s_nu_sign, 2)
 
 
+def _condition(sys: EllipsoidSystem, b, s):
+    """Evaluation condition of P at t = 1 - s^2/h^2 for coefficients ``b``,
+    or for the columns of an (m, F) matrix on a trailing axis that s
+    broadcasts against, as in ``_eval``; the zero padding adds exact zeros."""
+    t = 1.0 - s * s / sys.h2
+    pv = np.polynomial.polynomial
+    tensor = b.ndim == 1
+    P = np.abs(pv.polyval(t, b, tensor))
+    S = pv.polyval(np.abs(t), np.abs(b), tensor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(P > 0, S / P, np.where(S > 0, np.inf, 1.0))
+
+
 def eval_lame_condition(f: LameFunction, s):
     """Evaluation condition sum_j |b_j| |t|^j / |P(t)| of P at t = 1 - s^2/h^2.
 
@@ -246,13 +265,7 @@ def eval_lame_condition(f: LameFunction, s):
     they cancel.  Where the computed P(t) is 0 but the summands are not, no
     digit survives and the condition is inf.
     """
-    s_arr = np.asarray(s, dtype=float)
-    t = 1.0 - s_arr * s_arr / f.system.h2
-    pv = np.polynomial.polynomial
-    P = np.abs(pv.polyval(t, f.coeffs))
-    S = pv.polyval(np.abs(t), np.abs(f.coeffs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(P > 0, S / P, np.where(S > 0, np.inf, 1.0))
+    cond = _condition(f.system, f.coeffs, np.asarray(s, dtype=float))
     return float(cond) if cond.ndim == 0 else cond
 
 

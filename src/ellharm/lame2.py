@@ -5,9 +5,10 @@ F is built from the first-kind function E and the semi-infinite integral
     I_n^p(lam) = \\int_lam^inf ds / ( E_n^p(s)^2 sqrt(s^2 - k^2) sqrt(s^2 - h^2) )
 
 as F_n^p(lam) = (2n + 1) E_n^p(lam) I_n^p(lam).  The integral is evaluated
-by adaptive Gauss-Kronrod quadrature after mapping the tail to a unit
-interval; very close to the branch point lam = k the head of the integral is
-first regularized with the substitution s = k cosh(t).
+by adaptive Gauss-Kronrod quadrature, one integrand call per 15-node
+panel, after mapping the tail to a unit interval; very close to the branch
+point lam = k the head of the integral is first regularized with the
+substitution s = k cosh(t).
 
 The derivative needs no quadrature:
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonConvergence, SingularLowerLimit
 from .lame1 import LameFunction, eval_lame, eval_lame_derivative
@@ -37,13 +40,15 @@ class SecondKindEval:
     dF_dlambda: float
 
 
-def _integrand(f: LameFunction, s: float) -> float:
-    sys = f.system
+def _integrand(f: LameFunction, s, root_k):
+    """1 / (E(s)^2 root_k sqrt(s^2 - h^2)) at an array of nodes s: the I_n^p
+    integrand with root_k = sqrt(s^2 - k^2), or the cosh head's integrand in
+    t, where s = k cosh(t), with root_k = 1."""
     E = eval_lame(f, s)
-    if E == 0.0:
+    if np.any(E == 0.0):
         raise NonConvergence(
-            f"first-kind function vanishes at quadrature node s={s}")
-    return 1.0 / (E * E * math.sqrt(s * s - sys.k2) * math.sqrt(s * s - sys.h2))
+            f"first-kind function vanishes at quadrature node s={s[E == 0.0][0]}")
+    return 1.0 / (E * E * root_k * np.sqrt(s * s - f.system.h2))
 
 
 def eval_I(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> float:
@@ -57,25 +62,16 @@ def eval_I(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> float:
     lo = lam
     if lam <= _NEAR_SINGULAR_FACTOR * k:
         # head on [lam, 1.05 k] via s = k cosh(t): ds / sqrt(s^2 - k^2) = dt
-        split = _SPLIT_FACTOR * k
-
-        def head(t):
-            s = k * math.cosh(t)
-            E = eval_lame(f, s)
-            if E == 0.0:
-                raise NonConvergence(
-                    f"first-kind function vanishes at quadrature node s={s}")
-            return 1.0 / (E * E * math.sqrt(s * s - sys.h2))
-
-        t0 = math.acosh(lam / k)
-        t1 = math.acosh(_SPLIT_FACTOR)
-        res = adaptive_quad(head, t0, t1, rel_tol=rel_tol)
+        res = adaptive_quad(lambda t: _integrand(f, k * np.cosh(t), 1.0),
+                            math.acosh(lam / k), math.acosh(_SPLIT_FACTOR),
+                            rel_tol=rel_tol)
         if not res.converged:
             raise NonConvergence("head quadrature did not converge")
         total += res.value
-        lo = split
+        lo = _SPLIT_FACTOR * k
 
-    res = adaptive_quad(lambda s: _integrand(f, s), lo, math.inf, rel_tol=rel_tol)
+    res = adaptive_quad(lambda s: _integrand(f, s, np.sqrt(s * s - sys.k2)),
+                        lo, math.inf, rel_tol=rel_tol)
     if not res.converged:
         raise NonConvergence("tail quadrature did not converge")
     return total + res.value

@@ -75,45 +75,29 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray  # shape (dim, dim), column i pairs with values[i]
-    symmetrized: bool    # True if the diagonal-similarity path was used
 
 
 def solve_tridiagonal(spec: TridiagonalSpec) -> EigenPairs:
-    """Eigendecomposition of a tridiagonal matrix.
+    """Eigendecomposition of a tridiagonal matrix whose off-diagonal products
+    lower[i]*upper[i] are all positive.
 
-    If every product lower[i]*upper[i] is positive the matrix is similar to a
-    symmetric tridiagonal one via a diagonal scaling D, and the symmetric
-    problem is solved densely with ``numpy.linalg.eigh``; the eigenvectors
-    of the original matrix are recovered as D @ w.  Otherwise a dense general
-    eigensolve is used (flagged via ``symmetrized=False``).
+    Such a matrix is similar to a symmetric tridiagonal one via a diagonal
+    scaling D, and the symmetric problem is solved densely with
+    ``numpy.linalg.eigh``; the eigenvectors of the original matrix are
+    recovered as D @ w.  Any other matrix raises ``NonSymmetrizable``.
     """
-    m = spec.dim
-    if m == 1:
-        return EigenPairs(values=spec.diag.copy(),
-                          vectors=np.array([[1.0]]), symmetrized=True)
-
     prod = spec.lower * spec.upper
-    if np.all(prod > 0):
-        # off-diagonal of the symmetrized matrix; the sign matters for
-        # eigenvector recovery, not for the spectrum
-        off = np.sign(spec.lower) * np.sqrt(prod)
-        vals, w = np.linalg.eigh(TridiagonalSpec(spec.diag, off, off).dense())
-        # D[i] / D[i-1] = sqrt(lower[i-1] / upper[i-1])
-        D = np.ones(m)
-        for i in range(1, m):
-            D[i] = D[i - 1] * math.sqrt(spec.lower[i - 1] / spec.upper[i - 1])
-        vecs = D[:, None] * w
-        vecs /= np.linalg.norm(vecs, axis=0)[None, :]
-        return EigenPairs(values=vals, vectors=vecs, symmetrized=True)
-
-    vals, vecs = np.linalg.eig(spec.dense())
-    if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
-        raise NonSymmetrizable("complex spectrum from dense fallback")
-    order = np.argsort(vals.real)
-    vals = vals.real[order]
-    vecs = vecs.real[:, order]
+    if not np.all(prod > 0):
+        raise NonSymmetrizable("an off-diagonal product lower*upper is <= 0")
+    # off-diagonal of the symmetrized matrix; the sign matters for
+    # eigenvector recovery, not for the spectrum
+    off = np.sign(spec.lower) * np.sqrt(prod)
+    vals, w = np.linalg.eigh(TridiagonalSpec(spec.diag, off, off).dense())
+    # D[i] / D[i-1] = sqrt(lower[i-1] / upper[i-1])
+    D = np.cumprod(np.concatenate(([1.0], np.sqrt(spec.lower / spec.upper))))
+    vecs = D[:, None] * w
     vecs /= np.linalg.norm(vecs, axis=0)[None, :]
-    return EigenPairs(values=vals, vectors=vecs, symmetrized=False)
+    return EigenPairs(values=vals, vectors=vecs)
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +138,11 @@ class QuadratureResult:
 
 
 def _gk15(f, lo, hi):
-    """One Gauss-Kronrod 7-15 panel on [lo, hi]; returns (value, error, neval)."""
+    """One Gauss-Kronrod 7-15 panel on [lo, hi], one call of ``f`` on its 15
+    nodes; returns (value, error, neval)."""
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = c + half * _NODES
-    y = np.array([f(v) for v in x], dtype=float)
+    y = f(c + half * _NODES)
     vk = half * float(_WK_FULL @ y)
     vg = half * float(_WG_FULL @ y)
     # standard QUADPACK-style rescaled error estimate
@@ -196,6 +180,9 @@ def _adaptive_finite(f, lo, hi, rel_tol, max_subdiv):
 def adaptive_quad(f, lo, hi, rel_tol=1e-10, max_subdiv=2000) -> QuadratureResult:
     """Adaptively integrate ``f`` over [lo, hi] to ``rel_tol`` relative, or
     1e-14 absolute; ``hi`` may be ``inf`` when lo > 0.
+
+    ``f`` maps an array of nodes to the array of its values there; each
+    panel calls it once, on all 15 of its nodes.
 
     Semi-infinite intervals are mapped to (0, 1] by the substitution
     s = lo / t.

@@ -22,12 +22,13 @@ configurable conversion constant KCAL_PER_E2_PER_ANGSTROM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
-from .errors import ChargeOutsideEllipsoid, ResonantDenominator
+from .errors import ChargeOutsideEllipsoid, ResonantDenominator, ValidationError
 from .harmonics import NormalizationTable, _checked_table, _interior_pass, interior_matrix
 from .lame1 import N_MAX_DEFAULT, lame_function
 from .lame2 import surface_values
@@ -68,8 +69,8 @@ class DielectricModel:
     eps2: float  # exterior
 
     def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("permittivities must be positive")
+        if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
+            raise ValueError("permittivities must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,11 @@ class EnergyReport:
 def _check_interior(sys: EllipsoidSystem, charges):
     for ch in charges:
         val = (ch.x / sys.a) ** 2 + (ch.y / sys.b) ** 2 + (ch.z / sys.c) ** 2
-        if val >= 1.0:
+        if not val < 1.0:
             raise ChargeOutsideEllipsoid(
                 f"charge at {ch.position} not strictly inside the ellipsoid")
+        if not math.isfinite(ch.q):
+            raise ValidationError(f"charge at {ch.position} has non-finite q={ch.q}")
 
 
 def _interior_terms(sys: EllipsoidSystem, charges, N: int,

@@ -142,6 +142,27 @@ def test_exit_code_validation_errors(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["solvation", "--charges", "{nan_line}"], "nan_line:2: non-finite field"),
+    (["solvation", "--charges", "{inf_line}"], "inf_line:2: non-finite field"),
+    (["solvation", "--charges", "{good}", "--eps1", "nan"], "permittivities"),
+    (["transform", "--points", "1,1,1;nan,1,1"], "--points entry must be finite"),
+    (["bem-validate", "--charges", "{good}", "--eps2", "inf"], "permittivities"),
+    (["lame", "--degree", "1", "--p", "1", "--s", "2.0,nan"], "--s values must be finite"),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, args, message):
+    files = {"nan_line": "1 1 1 1\nnan 0 0 1\n", "inf_line": "1 1 1 1\n1 1 1 inf\n",
+             "good": "1 1 1 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in files}
+    code = main(["--semiaxes", "15,12,10", *(a.format(**paths) for a in args)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("ValidationError", "ValueError")
+    assert message in err["message"]
+
+
 def test_exit_code_numerical_error():
     # a field point with smaller lambda than the source is an ordering
     # violation (validation), but a field point exactly on the focal ellipse

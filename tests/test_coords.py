@@ -72,6 +72,13 @@ def test_ell_to_cart_range_violation(sys215):
         ell_to_cart(sys215, bad)
 
 
+@pytest.mark.parametrize("xyz", [(math.nan, 1.0, 1.0), (0.5, math.inf, 0.2),
+                                 (0.5, 0.2, -math.inf)])
+def test_cart_to_ell_rejects_non_finite(sys215, xyz):
+    with pytest.raises(RangeViolation):
+        cart_to_ell(sys215, *xyz)
+
+
 def _octant_brick(sys, per_axis=4):
     base = np.linspace(0.2, 0.8, per_axis)
     pts = []

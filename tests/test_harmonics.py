@@ -12,7 +12,9 @@ from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                exterior_solid, gamma, interior_matrix,
                                interior_solid, surface_harmonic)
 from ellharm.lame1 import (_eval, build_tridiagonal, class_of, eval_lame,
-                           lame_function, psi_exponents)
+                           eval_lame_condition, lame_function, psi_exponents)
+from ellharm.lame2 import eval_I
+from ellharm.numerics import adaptive_quad
 from ellharm.solvation import reaction_potential
 
 
@@ -322,3 +324,109 @@ def test_cancellation_diagnostic_silent_at_n12(sys215, table16):
     peak = max(d["amplification"] for d in exp.diagnostics.values())
     # cancellation is measured and growing, but stays below the threshold
     assert 1e4 < peak < CANCELLATION_THRESHOLD
+
+
+def _scalar_reference_I(f, lam):
+    """I_n^p(lam) from the scalar integrands, 1 / (E^2 sqrt(s^2 - k^2)
+    sqrt(s^2 - h^2)) and, below 1.01 k, the cosh head on [lam, 1.05 k] in
+    t = acosh(s / k), called node by node under ``adaptive_quad``."""
+    sys = f.system
+
+    def tail(s):
+        E = eval_lame(f, s)
+        return 1.0 / (E * E * math.sqrt(s * s - sys.k2) * math.sqrt(s * s - sys.h2))
+
+    def head(t):
+        s = sys.k * math.cosh(t)
+        E = eval_lame(f, s)
+        return 1.0 / (E * E * math.sqrt(s * s - sys.h2))
+
+    def by_node(g):
+        return lambda x: np.array([g(v) for v in x])
+
+    total, lo = 0.0, lam
+    if lam <= 1.01 * sys.k:
+        total += adaptive_quad(by_node(head), math.acosh(lam / sys.k),
+                               math.acosh(1.05)).value
+        lo = 1.05 * sys.k
+    return total + adaptive_quad(by_node(tail), lo, math.inf).value
+
+
+@pytest.mark.parametrize("geometry", ["sys_fig3", "sys215"])
+def test_surface_integrals_equal_scalar_integrand_reference(geometry, request,
+                                                            table12_fig3, table16):
+    # one integrand call per panel gives every I(a), and so the table's F(a),
+    # bit for bit as the node-by-node loop did
+    sys = request.getfixturevalue(geometry)
+    table = table12_fig3 if geometry == "sys_fig3" else table16
+    for j, ((n, p), f) in enumerate(table.functions.items()):
+        ref = _scalar_reference_I(f, sys.a)
+        assert eval_I(f, sys.a) == ref, (n, p)
+        assert table.surface[2, j] == (2 * n + 1) * table.surface[0, j] * ref, (n, p)
+
+
+def test_integrals_equal_scalar_integrand_reference(sys215, table16):
+    for lam in (2.5, 4.0):
+        for key, f in table16.functions.items():
+            assert eval_I(f, lam) == _scalar_reference_I(f, lam), (lam, key)
+    # below 1.01 k the head's nodes come from np.cosh, which may differ from
+    # math.cosh by an ulp; E's conditioning near the branch point and at high
+    # degree turns that into at most a few thousand ulp of I, far inside the
+    # quadrature's 1e-10 tolerance
+    lam = 1.003 * sys215.k
+    for key, f in table16.functions.items():
+        ref = _scalar_reference_I(f, lam)
+        assert eval_I(f, lam) == pytest.approx(ref, rel=1e-11, abs=0.0), key
+
+
+def _reference_expansion(sys, source, field_point, N, table):
+    """coulomb_expand's terms, partial sums, diagnostics and flagged degrees
+    from a per-term loop: per-function E3 triple products, eval_I, and the
+    amplification from eval_lame_condition, 0 where a radical factor of psi
+    vanishes at a coordinate."""
+    src, fld = cart_to_ell(sys, *source), cart_to_ell(sys, *field_point)
+    coords = [src.lam, src.mu, src.nu, fld.lam, fld.mu, fld.nu]
+    terms, diagnostics, partial_sums, flagged, total = {}, {}, [], [], 0.0
+    for n in range(N + 1):
+        peak = 0.0
+        for p in range(1, 2 * n + 2):
+            f = table.functions[(n, p)]
+            E3, E3_fld = ((eval_lame(f, pt.lam, pt.s_mu, pt.s_nu)
+                           * eval_lame(f, pt.mu, pt.s_mu, pt.s_nu)
+                           * eval_lame(f, pt.nu, pt.s_mu, pt.s_nu)) for pt in (src, fld))
+            F3 = (2 * n + 1) * E3_fld * eval_I(f, abs(fld.lam))
+            term = 4.0 * math.pi / (2 * n + 1) / table.gamma[(n, p)] * E3 * F3
+            total += term
+            e_s, e_h, e_k = psi_exponents(f.cls.tag, n)
+            if any((e_s and x == 0.0) or (e_h and x * x == sys.h2)
+                   or (e_k and x * x == sys.k2) for x in coords):
+                amp = 0.0
+            else:
+                cond = eval_lame_condition(f, coords)
+                amp = float(cond.sum() + 2.0 * cond[3])
+            peak = max(peak, amp)
+            terms[(n, p)] = term
+            diagnostics[(n, p)] = {"absE": abs(E3), "absF": abs(F3),
+                                   "gamma": table.gamma[(n, p)], "amplification": amp}
+        partial_sums.append(total)
+        if peak > CANCELLATION_THRESHOLD:
+            flagged.append(n)
+    return terms, partial_sums, diagnostics, flagged
+
+
+@pytest.mark.parametrize("source, field_point", [
+    (C9_SOURCE, C9_FIELD),
+    # a source on the y = 0 plane, where mu = h and the L and N radicals vanish
+    ((0.5, 0.0, 0.3), (0.9, 1.1, 1.3)),
+])
+def test_coulomb_expand_equals_per_term_reference(sys215, table16, source, field_point):
+    exp = coulomb_expand(sys215, source, field_point, 16, table=table16)
+    terms, partial_sums, diagnostics, flagged = _reference_expansion(
+        sys215, source, field_point, 16, table16)
+    assert exp.terms == terms
+    assert exp.partial_sums == partial_sums
+    assert exp.diagnostics == diagnostics
+    assert exp.cancellation_degrees == flagged
+    # both pairs reach every branch of the amplification
+    amps = [d["amplification"] for d in diagnostics.values()]
+    assert 0.0 in amps and max(amps) > 1.0

@@ -7,8 +7,8 @@ from scipy.special import ellip_harm
 
 from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import BranchPointDerivative, OrderOutOfRange
-from ellharm.lame1 import (build_tridiagonal, class_dim, class_of, eval_lame,
-                           eval_lame_condition, eval_lame_derivative,
+from ellharm.lame1 import (LameClass, build_tridiagonal, class_dim, class_of,
+                           eval_lame, eval_lame_condition, eval_lame_derivative,
                            eval_lame_second_derivative, lame_function,
                            lame_residual)
 
@@ -81,6 +81,17 @@ def test_tridiagonal_shapes(sys215):
     f1 = lame_function(sys215, 2, 1)
     f2 = lame_function(sys215, 2, 2)
     assert f1.separation_constant < f2.separation_constant
+
+
+def test_tridiagonal_off_diagonal_products_positive(sys215):
+    # the bound in build_tridiagonal's docstring: solve_tridiagonal can
+    # always symmetrize a Lame matrix
+    for sys in (sys215, new_system(15.0, 12.0, 10.0), new_system(10.0, 3.0, 1.0)):
+        for n in range(21):
+            for tag in "KLMN":
+                if class_dim(tag, n):
+                    spec = build_tridiagonal(sys, LameClass(tag, n, 0))
+                    assert np.all(spec.lower * spec.upper > 0), (sys.key(), n, tag)
 
 
 def test_lame_equation_residuals(sys215):

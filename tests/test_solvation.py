@@ -34,6 +34,22 @@ def test_charge_outside_rejected(sys215):
         source_coefficients(sys215, [PointCharge(2.0, 0, 0, 1.0)], 2)
 
 
+@pytest.mark.parametrize("charge", [
+    PointCharge(math.nan, 0.0, 0.0, 1.0), PointCharge(0.1, math.inf, 0.0, 1.0),
+    PointCharge(0.1, 0.1, 0.1, math.inf), PointCharge(0.1, 0.1, 0.1, math.nan)])
+def test_non_finite_charge_rejected(sys215, charge):
+    with pytest.raises(ValidationError):
+        solvation_energy(sys215, [PointCharge(0.2, 0.0, 0.0, 1.0), charge], WATER, N=2)
+
+
+@pytest.mark.parametrize("eps1, eps2", [(math.nan, 80.0), (4.0, math.nan),
+                                        (math.inf, 80.0), (4.0, math.inf),
+                                        (0.0, 80.0), (4.0, -1.0)])
+def test_dielectric_model_rejects_non_positive_or_non_finite(eps1, eps2):
+    with pytest.raises(ValueError):
+        DielectricModel(eps1, eps2)
+
+
 def test_dipole_sources_vanish_at_origin(sys215):
     G = source_coefficients(sys215, [PointCharge(0, 0, 0, 1.0)], 2)
     for p in (1, 2, 3):
