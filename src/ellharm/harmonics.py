@@ -30,8 +30,8 @@ import numpy as np
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (NonConvergence, OrderOutOfRange, OrderingViolation,
                      ValidationError)
-from .lame1 import _condition, _eval, eval_lame, lame_function, psi_exponents
-from .lame2 import eval_I, surface_values
+from .lame1 import _class_functions, _condition, _eval, _padded, eval_lame, lame_function
+from .lame2 import _second_kind, eval_I
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -65,14 +65,6 @@ class HarmonicIndex:
     def __post_init__(self):
         if self.n < 0 or not (1 <= self.p <= 2 * self.n + 1):
             raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
-
-
-def _padded(functions):
-    """The (3, F) psi exponents and zero-padded (m, F) coefficients of the functions."""
-    b = np.zeros((max(len(f.coeffs) for f in functions), len(functions)))
-    for j, f in enumerate(functions):
-        b[:len(f.coeffs), j] = f.coeffs
-    return np.array([psi_exponents(f.cls.tag, f.n) for f in functions]).T, b
 
 
 def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
@@ -169,20 +161,25 @@ class NormalizationTable:
 
 def build_normalization_table(sys: EllipsoidSystem, N: int,
                               quad_order: int = GAMMA_ORDER_DEFAULT) -> NormalizationTable:
-    fns, gam, errs = {}, {}, {}
-    for key in [(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)]:
+    if N < 0:
+        raise OrderOutOfRange(f"truncation degree N={N} is negative")
+    # one eigensolve per (n, class); classes K, L, M, N give p = 1 .. 2n + 1
+    functions = [f for n in range(N + 1) for tag in "KLMN"
+                 for f in _class_functions(sys, n, tag)]
+    fns = dict(zip([(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)], functions))
+    gam, errs = {}, {}
+    for key in fns:
         gam[key], errs[key] = gamma(sys, HarmonicIndex(*key), quad_order, with_error=True)
-        fns[key] = lame_function(sys, *key)
-    arrays = (*_padded(list(fns.values())),
+    arrays = (*_padded(functions),
               np.array([4.0 * math.pi / (2 * n + 1) / g for (n, _), g in gam.items()]),
-              np.array([surface_values(f) for f in fns.values()]).T.copy())
+              np.array(_second_kind(functions, sys.a)[:4]))
     for arr in arrays:
         arr.flags.writeable = False
     return NormalizationTable(sys, gam, errs, fns, *arrays)
 
 
 def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | None):
-    """``table`` after checking that it was built for ``sys`` and reaches
+    """``table`` after checking that it was built for ``sys`` and holds
     degree N (a new table when it is None)."""
     if table is None:
         table = build_normalization_table(sys, N)
@@ -190,7 +187,8 @@ def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | Non
         raise ValidationError(
             f"table built for semiaxes {table.system.key()}, used for {sys.key()}")
     elif (N, 1) not in table.gamma:
-        raise OrderOutOfRange(f"table does not reach degree N={N}")
+        raise OrderOutOfRange(
+            f"degree N={N} outside the table's 0..{math.isqrt(len(table.gamma)) - 1}")
     return table
 
 

@@ -140,18 +140,32 @@ class LameFunction:
         return self.cls.n
 
 
-def lame_function(sys: EllipsoidSystem, n: int, p: int) -> LameFunction:
-    """Construct the function E_n^p by solving its class eigenproblem."""
-    cls = class_of(n, p)
-    spec = build_tridiagonal(sys, cls)
-    pairs = solve_tridiagonal(spec)
-    m = spec.dim
-    pconst = float(pairs.values[cls.p_local])
-    b = pairs.vectors[:, cls.p_local].copy()
+def _class_functions(sys: EllipsoidSystem, n: int, tag: str) -> list:
+    """Every function of degree n in one class, in ascending separation
+    constant, from one solve of the class eigenproblem ([] for an empty class)."""
+    m = class_dim(tag, n)
+    if m == 0:
+        return []
+    pairs = solve_tridiagonal(build_tridiagonal(sys, LameClass(tag, n, 0)))
     # normalize so the coefficient of s^n in psi * P equals 1: the top basis
     # element contributes b_{m-1} * (-1/h^2)^{m-1} * s^{2(m-1)} * psi
-    b *= (-sys.h2) ** (m - 1) / b[m - 1]
-    return LameFunction(system=sys, cls=cls, coeffs=b, separation_constant=pconst)
+    b = pairs.vectors * ((-sys.h2) ** (m - 1) / pairs.vectors[m - 1])
+    return [LameFunction(system=sys, cls=LameClass(tag, n, j), coeffs=b[:, j].copy(),
+                         separation_constant=float(pairs.values[j])) for j in range(m)]
+
+
+def lame_function(sys: EllipsoidSystem, n: int, p: int) -> LameFunction:
+    """The function E_n^p: one column of its class's eigensolve."""
+    cls = class_of(n, p)
+    return _class_functions(sys, n, cls.tag)[cls.p_local]
+
+
+def _padded(functions):
+    """The (3, F) psi exponents and zero-padded (m, F) coefficients of the functions."""
+    b = np.zeros((max(len(f.coeffs) for f in functions), len(functions)))
+    for j, f in enumerate(functions):
+        b[:len(f.coeffs), j] = f.coeffs
+    return np.array([psi_exponents(f.cls.tag, f.n) for f in functions]).T, b
 
 
 def _leibniz(x, y):

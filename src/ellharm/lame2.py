@@ -10,7 +10,8 @@ panel, after mapping the tail to a unit interval; very close to the branch
 point lam = k the head of the integral is first regularized with the
 substitution s = k cosh(t).
 
-The derivative needs no quadrature:
+The derivative needs no quadrature, so E, E', F, F', I and dI/dlam of many
+functions at one lam take one ``eval_I`` each and one pass for E and E':
 
     dI/dlam = -1 / ( E(lam)^2 sqrt(lam^2 - k^2) sqrt(lam^2 - h^2) ).
 """
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SingularLowerLimit
-from .lame1 import LameFunction, eval_lame, eval_lame_derivative
+from .lame1 import LameFunction, _eval, _padded, eval_lame
 from .numerics import adaptive_quad
 
-__all__ = ["SecondKindEval", "eval_I", "eval_F", "surface_I", "surface_values"]
+__all__ = ["SecondKindEval", "eval_I", "eval_F", "surface_I"]
 
 _NEAR_SINGULAR_FACTOR = 1.01   # lam below this multiple of k gets the cosh head
 _SPLIT_FACTOR = 1.05           # head/tail split point as a multiple of k
@@ -82,19 +83,19 @@ def surface_I(f: LameFunction, rel_tol: float = 1e-10) -> float:
     return eval_I(f, f.system.a, rel_tol=rel_tol)
 
 
-def surface_values(f: LameFunction):
-    """E, E', F, F' at lambda = a (positive-octant signs)."""
-    second = eval_F(f, f.system.a)
-    return (*eval_lame_derivative(f, f.system.a), second.F_value, second.dF_dlambda)
-
-
-def eval_F(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> SecondKindEval:
-    """F, I and their lambda-derivatives at lam > k."""
-    sys = f.system
-    I = eval_I(f, lam, rel_tol=rel_tol)
-    E, dE = eval_lame_derivative(f, lam)
+def _second_kind(functions, lam: float):
+    """E, E', F, F', I and dI/dlam at lam > k, each an array over functions
+    of one system; I takes one ``eval_I`` call per function."""
+    sys = functions[0].system
+    I = np.array([eval_I(f, lam) for f in functions])
+    E, dE = _eval(sys, *_padded(functions), np.array([lam]), 1, 1, 1)
     dI = -1.0 / (E * E * math.sqrt(lam * lam - sys.k2)
                  * math.sqrt(lam * lam - sys.h2))
-    F = (2 * f.n + 1) * E * I
-    dF = (2 * f.n + 1) * (dE * I + E * dI)
+    width = 2 * np.array([f.n for f in functions]) + 1
+    return E, dE, width * E * I, width * (dE * I + E * dI), I, dI
+
+
+def eval_F(f: LameFunction, lam: float) -> SecondKindEval:
+    """F, I and their lambda-derivatives at lam > k."""
+    _, _, F, dF, I, dI = (float(v[0]) for v in _second_kind([f], lam))
     return SecondKindEval(I_value=I, F_value=F, dI_dlambda=dI, dF_dlambda=dF)

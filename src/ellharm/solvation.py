@@ -31,7 +31,7 @@ from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, ResonantDenominator, ValidationError
 from .harmonics import NormalizationTable, _checked_table, _interior_pass, interior_matrix
 from .lame1 import N_MAX_DEFAULT, lame_function
-from .lame2 import surface_values
+from .lame2 import _second_kind
 
 __all__ = [
     "PointCharge",
@@ -121,8 +121,9 @@ def source_coefficients(sys: EllipsoidSystem, charges, N: int,
 def _surface(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
     """E, E', F, F' at lambda = a by row, from the table or for ``keys`` alone."""
     if table is None:
-        return np.array([surface_values(lame_function(sys, *key))
-                         for key in keys]).reshape(-1, 4).T
+        if not keys:
+            return np.empty((4, 0))
+        return np.array(_second_kind([lame_function(sys, *key) for key in keys], sys.a)[:4])
     table = _checked_table(sys, max((n for n, _ in keys), default=0), table)
     return table.surface[:, [n * n + p - 1 for n, p in keys]]
 

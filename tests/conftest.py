@@ -5,8 +5,10 @@ import pytest
 
 from ellharm import new_system
 from ellharm.harmonics import HarmonicIndex
-from ellharm.lame1 import eval_lame, lame_function
-from ellharm.numerics import gauss_legendre
+from ellharm.lame1 import (build_tridiagonal, class_of, eval_lame,
+                           eval_lame_derivative, lame_function)
+from ellharm.lame2 import eval_I
+from ellharm.numerics import gauss_legendre, solve_tridiagonal
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +19,32 @@ def sys215():
 @pytest.fixture(scope="session")
 def sys_fig3():
     return new_system(15.0, 12.0, 10.0)
+
+
+def lame_reference(sys, n, p):
+    """(coefficients, separation constant) of E_n^p from a solve of its class
+    matrix of its own, with only its column normalized."""
+    cls = class_of(n, p)
+    spec = build_tridiagonal(sys, cls)
+    pairs = solve_tridiagonal(spec)
+    m = spec.dim
+    b = pairs.vectors[:, cls.p_local].copy()
+    b *= (-sys.h2) ** (m - 1) / b[m - 1]
+    return b, float(pairs.values[cls.p_local])
+
+
+def second_kind_reference(f, lam):
+    """(E, E', F, F', I, dI/dlam) of one function at lam from its own
+    evaluations: E and E' by ``eval_lame_derivative``, I by ``eval_I``,
+    then dI, F and F' by the per-function formulas."""
+    sys = f.system
+    I = eval_I(f, lam)
+    E, dE = eval_lame_derivative(f, lam)
+    dI = -1.0 / (E * E * math.sqrt(lam * lam - sys.k2)
+                 * math.sqrt(lam * lam - sys.h2))
+    F = (2 * f.n + 1) * E * I
+    dF = (2 * f.n + 1) * (dE * I + E * dI)
+    return E, dE, F, dF, I, dI
 
 
 def surface_inner(sys, idx1: HarmonicIndex, idx2: HarmonicIndex, order=96):

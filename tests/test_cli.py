@@ -163,6 +163,19 @@ def test_non_finite_input_exits_2(tmp_path, capsys, args, message):
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["solvation", "--semiaxes", "15,12,10", "--charges", "{charges}"],
+    ["coulomb", "--source", "0,0,0.5", "--field", "0,0,2"],
+    ["gamma"],
+    ["born-limit"],
+])
+def test_negative_order_exits_2(tmp_path, capsys, args):
+    (tmp_path / "charges").write_text("1 1 1 1\n")
+    code = main([a.format(charges=tmp_path / "charges") for a in args] + ["--order", "-1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "OrderOutOfRange"
+
+
 def test_exit_code_numerical_error():
     # a field point with smaller lambda than the source is an ordering
     # violation (validation), but a field point exactly on the focal ellipse

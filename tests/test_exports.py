@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -44,3 +45,16 @@ def test_runtime_imports_no_scipy():
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_traced_names_resolve():
+    # perfbench's tracer patches these module bindings and its worker reads
+    # NUMBA_AVAILABLE, so renaming one of them breaks the benchmark harness
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in [*tracer.SPANS, *tracer.COUNTERS]:
+        assert callable(getattr(importlib.import_module(f"ellharm.{module}"), name, None)), \
+            (module, name)
+    assert isinstance(importlib.import_module("ellharm._kernels").NUMBA_AVAILABLE, bool)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ellip_normal
 
-from conftest import fd_laplacian, surface_inner
-from ellharm.coords import cart_to_ell
+from conftest import (fd_laplacian, lame_reference, second_kind_reference,
+                      surface_inner)
+from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import OrderOutOfRange, OrderingViolation
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                build_normalization_table, coulomb_expand,
@@ -64,6 +65,37 @@ def test_interior_matrix_matches_scalar_triple_product(sys215):
 @pytest.fixture(scope="module")
 def table12_fig3(sys_fig3):
     return build_normalization_table(sys_fig3, 12)
+
+
+@pytest.fixture(scope="module")
+def table10_thin():
+    # thin enough that I_n^p(a) takes the cosh head below 1.01 k
+    return build_normalization_table(new_system(10.0, 3.0, 1.0), 10)
+
+
+TABLES = ["table12_fig3", "table16", "table10_thin"]
+
+
+@pytest.mark.parametrize("table_name", TABLES)
+def test_table_functions_equal_per_function_solves(table_name, request):
+    # (n, p) order, classes K, L, M, N within each degree, each function as
+    # its own solve of the class matrix gives it
+    table = request.getfixturevalue(table_name)
+    N = max(n for n, _ in table.functions)
+    assert list(table.functions) == [(n, p) for n in range(N + 1)
+                                     for p in range(1, 2 * n + 2)]
+    for (n, p), f in table.functions.items():
+        b, pconst = lame_reference(table.system, n, p)
+        assert f.cls == class_of(n, p)
+        assert (f.coeffs.tobytes(), f.separation_constant) == (b.tobytes(), pconst), (n, p)
+
+
+@pytest.mark.parametrize("table_name", TABLES)
+def test_table_surface_equals_per_function_reference(table_name, request):
+    table = request.getfixturevalue(table_name)
+    ref = np.array([second_kind_reference(f, table.system.a)[:4]
+                    for f in table.functions.values()]).T.copy()
+    assert table.surface.tobytes() == ref.tobytes()
 
 
 def _away_from_branch_points(sys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ellip_harm
 
+from conftest import lame_reference
 from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import BranchPointDerivative, OrderOutOfRange
 from ellharm.lame1 import (LameClass, build_tridiagonal, class_dim, class_of,
@@ -107,6 +108,19 @@ def test_lame_equation_residuals(sys215):
                 f = lame_function(sys, n, p)
                 for name, samples in ranges.items():
                     assert lame_residual(f, samples) <= 1e-8, (sys.key(), n, p, name)
+
+
+def test_class_solve_equals_per_function_solve(sys215):
+    # one eigensolve per (n, class) normalizes all its columns at once; each
+    # column equals a solve of the class matrix for that function alone
+    for sys in (sys215, new_system(15.0, 12.0, 10.0), new_system(10.0, 3.0, 1.0)):
+        for n in range(17):
+            for p in range(1, 2 * n + 2):
+                f = lame_function(sys, n, p)
+                b, pconst = lame_reference(sys, n, p)
+                assert f.cls == class_of(n, p)
+                assert f.coeffs.tobytes() == b.tobytes(), (sys.key(), n, p)
+                assert f.separation_constant == pconst, (sys.key(), n, p)
 
 
 def test_leading_coefficient_unity(sys215):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ellip_harm_2
 
+from conftest import second_kind_reference
 from ellharm.errors import SingularLowerLimit
 from ellharm.lame1 import lame_function
 from ellharm.lame2 import eval_F, eval_I, surface_I
@@ -121,3 +122,15 @@ def test_cross_check_reference_implementation(sys215):
             mine = eval_F(f, 2.5).F_value
             ref = float(ellip_harm_2(h2, k2, n, p, 2.5))
             assert mine == pytest.approx(ref, rel=1e-8), (n, p)
+
+
+def test_eval_F_equals_per_function_reference(sys215):
+    # at the surface, off it, and inside 1.01 k, where I has the cosh head
+    for lam in (sys215.a, 2.5, 4.0, 1.003 * sys215.k):
+        for n in range(9):
+            for p in range(1, 2 * n + 2):
+                f = lame_function(sys215, n, p)
+                r = eval_F(f, lam)
+                _, _, F, dF, I, dI = second_kind_reference(f, lam)
+                assert (r.F_value, r.dF_dlambda, r.I_value, r.dI_dlambda) == (F, dF, I, dI), \
+                    (lam, n, p)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import second_kind_reference
 from ellharm.coords import cart_to_ell, ell_to_cart, surface_point
 from ellharm.coords import normal_derivative_factor
 from ellharm.coords import new_system
 from ellharm.errors import (ChargeOutsideEllipsoid, OrderOutOfRange,
                             ValidationError)
 from ellharm.lame1 import eval_lame, lame_function
-from ellharm.lame2 import surface_values
 from ellharm.harmonics import (HarmonicIndex, build_normalization_table,
                                exterior_solid)
 from ellharm.solvation import (DielectricModel, PointCharge,
@@ -105,7 +105,7 @@ def test_exterior_coefficients_dual_formula(sys215):
     coeffs = expansion_coefficients(sys215, charges, WATER, 6)
     e1, e2 = WATER.eps1, WATER.eps2
     for (n, p), c in coeffs.C.items():
-        E, dE, F, dF = surface_values(lame_function(sys215, n, p))
+        E, dE, F, dF = second_kind_reference(lame_function(sys215, n, p), sys215.a)[:4]
         alt = coeffs.G[(n, p)] / e2 + (e1 / e2) * (dE / dF) * coeffs.B[(n, p)]
         assert c == pytest.approx(alt, rel=1e-9, abs=1e-15)
 
@@ -182,6 +182,17 @@ def test_table_below_requested_degree_rejected():
         solvation_energy(sys, charges, WATER, N=3, table=table)
 
 
+def test_negative_truncation_degree_rejected():
+    sys, charges = _fig3_setup()
+    table = build_normalization_table(sys, 2)
+    for build in (lambda: build_normalization_table(sys, -1),
+                  lambda: solvation_energy(sys, charges, WATER, N=-1),
+                  lambda: solvation_energy(sys, charges, WATER, N=-1, table=table),
+                  lambda: source_coefficients(sys, charges, -1, table=table)):
+        with pytest.raises(OrderOutOfRange, match="N=-1"):
+            build()
+
+
 def test_larger_table_gives_the_same_energy(sys215):
     charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7)]
     small = build_normalization_table(sys215, 12)
@@ -220,7 +231,8 @@ def test_table_energy_equals_per_function_reference():
     # y = 0 and z = 0 planes, where radical factors vanish
     sys, _ = _fig3_setup()
     table = build_normalization_table(sys, 12)
-    surface = {key: surface_values(f) for key, f in table.functions.items()}
+    surface = {key: second_kind_reference(f, sys.a)[:4]
+               for key, f in table.functions.items()}
     rng = np.random.default_rng(17)
     axes = np.array([sys.a, sys.b, sys.c])
     for count in [1, 2, 3, 5, 8, 13, 16, 21, 30] * 4:
