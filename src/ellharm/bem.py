@@ -204,7 +204,8 @@ def convergence_study(mesh_factory, charges, diel: DielectricModel,
                       refinements, reference: float | None = None) -> ConvergenceStudy:
     """Run solve_bem across refinement levels and summarize convergence.
 
-    ``mesh_factory(refinement)`` must return a TriMesh.  The fitted slope is
+    ``mesh_factory(refinement)`` must return a TriMesh, with panel counts
+    that strictly increase along ``refinements``.  The fitted slope is
     the log-log slope of |energy - reference| vs panel count, where the
     reference is the supplied semi-analytic value if given, else the
     Richardson limit of the sequence itself.
@@ -212,12 +213,11 @@ def convergence_study(mesh_factory, charges, diel: DielectricModel,
     refinements = list(refinements)
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")
-    counts, energies = [], []
-    for ref in refinements:
-        mesh = mesh_factory(ref)
-        sol = solve_bem(mesh, charges, diel)
-        counts.append(sol.panel_count)
-        energies.append(sol.energy_kcal)
+    meshes = [mesh_factory(ref) for ref in refinements]
+    counts = [mesh.panel_count for mesh in meshes]
+    if any(m >= n for m, n in zip(counts, counts[1:])):
+        raise ValueError(f"panel counts {counts} must strictly increase")
+    energies = [solve_bem(mesh, charges, diel).energy_kcal for mesh in meshes]
     limit = _richardson(counts, energies)
     ref_val = reference if reference is not None else limit
     deviations = [abs(e - ref_val) for e in energies]

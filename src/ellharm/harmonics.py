@@ -11,7 +11,11 @@ sqrt(h^2 - nu^2) sqrt(k^2 - nu^2)) over the full surface.  With the
 substitutions mu^2 = h^2 + (k^2 - h^2) sin^2(phi) and nu = h sin(theta) all
 four inverse-square-root endpoint singularities are absorbed and the
 integrand becomes smooth, so a tensor Gauss-Legendre rule converges fast;
-the full-surface value is 8x the positive-octant integral.
+the full-surface value is 8x the positive-octant integral.  The weight
+mu^2 - nu^2 separates, so the tensor rule is two products of one-dimensional
+sums: with a_i = w_i E(mu_i)^2 / mu_i and b_j = w_j E(nu_j)^2 / sqrt(k^2 - nu_j^2),
+
+    gamma = 8 [(sum a_i mu_i^2)(sum b_j) - (sum a_i)(sum b_j nu_j^2)].
 
 With these conventions the Coulomb kernel expands as
 
@@ -39,7 +43,6 @@ __all__ = [
     "NormalizationTable",
     "CoulombExpansion",
     "interior_solid",
-    "interior_matrix",
     "exterior_solid",
     "surface_harmonic",
     "gamma",
@@ -76,28 +79,19 @@ def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
     return E[0] * E[1] * E[2]
 
 
-def interior_matrix(functions, points) -> np.ndarray:
-    """E3 of every function at every point, as a (points, functions) array,
-    in one pass per system."""
-    out = np.empty((len(points), len(functions)))
-    for sys in {f.system for f in functions}:
-        cols = [j for j, f in enumerate(functions) if f.system == sys]
-        out[:, cols] = _interior_pass(sys, *_padded([functions[j] for j in cols]), points)
-    return out
-
-
 def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """E3_n^p at the point: triple product of first-kind evaluations."""
-    return float(interior_matrix([lame_function(sys, idx.n, idx.p)], [point])[0, 0])
+    f = lame_function(sys, idx.n, idx.p)
+    return float(_interior_pass(sys, *_padded([f]), [point])[0, 0])
 
 
 def exterior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """F3_n^p at an exterior point (|lambda| > k required by eval_I)."""
     f = lame_function(sys, idx.n, idx.p)
-    I = eval_I(f, abs(point.lam))
-    return (2 * idx.n + 1) * float(interior_matrix([f], [point])[0, 0]) * I
+    E3 = float(_interior_pass(sys, *_padded([f]), [point])[0, 0])
+    return (2 * idx.n + 1) * E3 * eval_I(f, abs(point.lam))
 
 
 def surface_harmonic(sys: EllipsoidSystem, idx: HarmonicIndex,
@@ -109,18 +103,15 @@ def surface_harmonic(sys: EllipsoidSystem, idx: HarmonicIndex,
 
 
 def _gamma_fixed_order(sys: EllipsoidSystem, f, order: int) -> float:
-    """Octant integral at a fixed tensor Gauss-Legendre order, times 8; one
-    rule on [0, pi/2] serves both angles."""
+    """Octant integral at a fixed tensor Gauss-Legendre order, times 8, as the
+    two separable sums of the module docstring; one rule on [0, pi/2] serves
+    both angles."""
     x, w = gauss_legendre(order, 0.0, math.pi / 2.0)
     mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(x) ** 2)
     nu = sys.h * np.sin(x)
-    Emu = eval_lame(f, mu)
-    Enu = eval_lame(f, nu)
-    M2 = mu[:, None] ** 2
-    N2 = nu[None, :] ** 2
-    W = np.outer(w / mu, w / np.sqrt(sys.k2 - nu ** 2))
-    core = (Emu[:, None] ** 2) * (Enu[None, :] ** 2) * (M2 - N2) * W
-    return 8.0 * float(np.sum(core))
+    a = w * eval_lame(f, mu) ** 2 / mu
+    b = w * eval_lame(f, nu) ** 2 / np.sqrt(sys.k2 - nu ** 2)
+    return 8.0 * float(np.sum(a * mu ** 2) * np.sum(b) - np.sum(a) * np.sum(b * nu ** 2))
 
 
 def gamma(sys: EllipsoidSystem, idx: HarmonicIndex,

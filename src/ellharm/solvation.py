@@ -29,9 +29,9 @@ import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, ResonantDenominator, ValidationError
-from .harmonics import NormalizationTable, _checked_table, _interior_pass, interior_matrix
-from .lame1 import N_MAX_DEFAULT, lame_function
-from .lame2 import _second_kind
+from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
+                        _interior_pass)
+from .lame1 import N_MAX_DEFAULT
 
 __all__ = [
     "PointCharge",
@@ -118,14 +118,13 @@ def source_coefficients(sys: EllipsoidSystem, charges, N: int,
     return dict(zip(table.functions, G.tolist()))
 
 
-def _surface(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
-    """E, E', F, F' at lambda = a by row, from the table or for ``keys`` alone."""
-    if table is None:
-        if not keys:
-            return np.empty((4, 0))
-        return np.array(_second_kind([lame_function(sys, *key) for key in keys], sys.a)[:4])
-    table = _checked_table(sys, max((n for n, _ in keys), default=0), table)
-    return table.surface[:, [n * n + p - 1 for n, p in keys]]
+def _columns(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
+    """The table, checked (or built when None) for the keys' largest degree,
+    and the keys' columns n^2 + p - 1; a key that names no harmonic raises
+    OrderOutOfRange."""
+    idx = [HarmonicIndex(*key) for key in keys]
+    table = _checked_table(sys, max((i.n for i in idx), default=0), table)
+    return table, [i.n * i.n + i.p - 1 for i in idx]
 
 
 def _reaction_factor(diel: DielectricModel, surface, keys) -> np.ndarray:
@@ -147,7 +146,8 @@ def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
     """B_n^p from G_n^p; identically zero when eps1 == eps2."""
     if diel.eps1 == diel.eps2:
         return dict.fromkeys(G, 0.0)
-    R = _reaction_factor(diel, _surface(sys, list(G), table), list(G))
+    table, cols = _columns(sys, G, table)
+    R = _reaction_factor(diel, table.surface[:, cols], list(G))
     return {key: r * g for (key, g), r in zip(G.items(), R.tolist())}
 
 
@@ -155,7 +155,8 @@ def exterior_coefficients(G: dict, B: dict, sys: EllipsoidSystem,
                           diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
     """C_n^p = G_n^p / eps1 + B_n^p E(a)/F(a)."""
-    E, _, F, _ = _surface(sys, list(G), table)
+    table, cols = _columns(sys, G, table)
+    E, _, F, _ = table.surface[:, cols]
     return {key: g / diel.eps1 + B[key] * e / f
             for (key, g), e, f in zip(G.items(), E.tolist(), F.tolist())}
 
@@ -175,12 +176,8 @@ def reaction_potential(sys: EllipsoidSystem, B: dict, point,
     """psi(r) = sum B_n^p E3_n^p(r) at an interior Cartesian point."""
     keys = sorted(B)
     pts = [cart_to_ell(sys, *point)]
-    if table is None:
-        E3 = interior_matrix([lame_function(sys, *key) for key in keys], pts)[0]
-    else:
-        table = _checked_table(sys, max((n for n, _ in keys), default=0), table)
-        cols = [n * n + p - 1 for n, p in keys]
-        E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], pts)[0]
+    table, cols = _columns(sys, keys, table)
+    E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], pts)[0]
     return float(E3 @ np.array([B[key] for key in keys]))
 
 

@@ -47,6 +47,32 @@ def second_kind_reference(f, lam):
     return E, dE, F, dF, I, dI
 
 
+def gamma_tensor_reference(sys, f, quad_order=64):
+    """(gamma, error estimate) of one function by the order x order tensor
+    Gauss-Legendre rule over the octant, with ``gamma``'s order doubling."""
+    def fixed(order):
+        x, w = gauss_legendre(order, 0.0, math.pi / 2.0)
+        mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(x) ** 2)
+        nu = sys.h * np.sin(x)
+        Emu = eval_lame(f, mu)
+        Enu = eval_lame(f, nu)
+        M2 = mu[:, None] ** 2
+        N2 = nu[None, :] ** 2
+        W = np.outer(w / mu, w / np.sqrt(sys.k2 - nu ** 2))
+        core = (Emu[:, None] ** 2) * (Enu[None, :] ** 2) * (M2 - N2) * W
+        return 8.0 * float(np.sum(core))
+
+    order = quad_order
+    val = fixed(order)
+    while True:
+        order *= 2
+        val2 = fixed(order)
+        err = abs(val2 - val) / max(abs(val2), 1e-300)
+        if err <= 1e-8 or order >= 256:
+            return val2, err
+        val = val2
+
+
 def surface_inner(sys, idx1: HarmonicIndex, idx2: HarmonicIndex, order=96):
     """Full-surface weighted inner product of two solid harmonics restricted
     to the surface, i.e. integral of E3_i E3_j times the surface weight.

@@ -98,6 +98,13 @@ def test_convergence_study_needs_three_levels(sys215):
                           [PointCharge(0, 0, 0, 1.0)], WATER, refinements=[1, 2])
 
 
+@pytest.mark.parametrize("refinements", [[1, 1, 1], [2, 1, 0], [0, 1, 1]])
+def test_convergence_study_needs_increasing_panel_counts(sys215, refinements):
+    with pytest.raises(ValueError, match="strictly increase"):
+        convergence_study(lambda r: mesh_ellipsoid(sys215, r),
+                          [PointCharge(0, 0, 0, 1.0)], WATER, refinements)
+
+
 def test_solution_deterministic(sys215):
     mesh = mesh_ellipsoid(sys215, 2)
     charges = [PointCharge(0.3, -0.2, 0.1, 1.0)]

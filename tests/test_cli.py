@@ -109,6 +109,18 @@ def test_bem_validate_small(tmp_path):
     assert "richardson_limit_kcal" in doc["diagnostics"]
 
 
+@pytest.mark.parametrize("refinements", ["1,1,1", "2,1,0"])
+def test_bem_validate_rejects_non_increasing_refinements(tmp_path, capsys, refinements):
+    cf = tmp_path / "charges.txt"
+    cf.write_text("0 0 0 1.0\n")
+    code = main(["--semiaxes", "15,12,10", "bem-validate", "--charges", str(cf),
+                 "--order", "2", "--refinements", refinements])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "strictly increase" in err["message"]
+
+
 def test_out_file_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -58,3 +58,28 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(f"ellharm.{module}"), name, None)), \
             (module, name)
     assert isinstance(importlib.import_module("ellharm._kernels").NUMBA_AVAILABLE, bool)
+
+
+def test_eval_lame_bound_where_the_tracer_patches_it():
+    # perfbench's tracer test checks that eval_lame is wrapped on each of
+    # these modules, so each must bind the one function
+    eval_lame = importlib.import_module("ellharm.lame1").eval_lame
+    for name in ("ellharm", "ellharm.lame1", "ellharm.lame2", "ellharm.harmonics"):
+        assert importlib.import_module(name).eval_lame is eval_lame, name
+
+
+def test_table_build_calls_gamma_per_harmonic(monkeypatch):
+    # perfbench's tests assert setup.harmonics.gamma.calls > 0; this check
+    # goes when the table computes gamma for all columns at once
+    harmonics = importlib.import_module("ellharm.harmonics")
+    calls = []
+    gamma = harmonics.gamma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gamma(*args, **kwargs)
+
+    monkeypatch.setattr(harmonics, "gamma", counted)
+    N = 3
+    harmonics.build_normalization_table(ellharm.new_system(2.0, 1.5, 1.0), N)
+    assert len(calls) == (N + 1) ** 2

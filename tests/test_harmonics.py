@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import ellip_normal
 
-from conftest import (fd_laplacian, lame_reference, second_kind_reference,
-                      surface_inner)
+from conftest import (fd_laplacian, gamma_tensor_reference, lame_reference,
+                      second_kind_reference, surface_inner)
 from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import OrderOutOfRange, OrderingViolation
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
-                               build_normalization_table, coulomb_expand,
-                               exterior_solid, gamma, interior_matrix,
+                               _interior_pass, build_normalization_table,
+                               coulomb_expand, exterior_solid, gamma,
                                interior_solid, surface_harmonic)
-from ellharm.lame1 import (_eval, build_tridiagonal, class_of, eval_lame,
-                           eval_lame_condition, lame_function, psi_exponents)
+from ellharm.lame1 import (_eval, _padded, build_tridiagonal, class_of,
+                           eval_lame, eval_lame_condition, lame_function,
+                           psi_exponents)
 from ellharm.lame2 import eval_I
 from ellharm.numerics import adaptive_quad
 from ellharm.solvation import reaction_potential
@@ -50,7 +51,7 @@ def test_interior_matrix_matches_scalar_triple_product(sys215):
     # a shuffled order mixes classes and degrees inside each psi group
     np.random.default_rng(4).shuffle(fns)
     for subset in (fns, fns[::7]):
-        E3 = interior_matrix(subset, pts)
+        E3 = _interior_pass(sys215, *_padded(subset), pts)
         assert E3.shape == (len(pts), len(subset))
         for i, pt in enumerate(pts):
             for j, f in enumerate(subset):
@@ -58,7 +59,6 @@ def test_interior_matrix_matches_scalar_triple_product(sys215):
                        * eval_lame(f, pt.mu, pt.s_mu, pt.s_nu)
                        * eval_lame(f, pt.nu, pt.s_mu, pt.s_nu))
                 assert E3[i, j] == ref, (i, f.n, f.cls)
-    assert interior_matrix([], pts).shape == (len(pts), 0)
     assert reaction_potential(sys215, {}, (0.3, 0.2, 0.1)) == 0.0
 
 
@@ -224,6 +224,19 @@ def test_gamma_positive_and_finite(sys215):
     assert len(table.gamma) == sum(2 * n + 1 for n in range(13))
     for v in table.gamma.values():
         assert v > 0 and math.isfinite(v)
+
+
+@pytest.mark.parametrize("semiaxes", [(2.0, 1.5, 1.0), (15.0, 12.0, 10.0),
+                                      (10.0, 3.0, 1.0), (100.0, 2.0, 1.0),
+                                      (1.001, 1.0002, 1.0001)])
+def test_table_gamma_equals_tensor_rule_reference(semiaxes):
+    # the two separable sums against the order x order tensor rule they
+    # replace, on a near-sphere, a strongly prolate shape and three others
+    table = build_normalization_table(new_system(*semiaxes), 16)
+    for key, f in table.functions.items():
+        ref, _ = gamma_tensor_reference(table.system, f)
+        assert table.gamma[key] == pytest.approx(ref, rel=1e-13, abs=0), key
+        assert table.error_estimates[key] <= 1e-8, key
 
 
 def test_gamma_quad_order_validated(sys215):

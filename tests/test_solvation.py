@@ -124,6 +124,18 @@ def test_empty_source_coefficients_give_empty_results(sys215):
     assert exterior_coefficients({}, {}, sys215, WATER) == {}
 
 
+def test_coefficient_key_naming_no_harmonic_rejected(sys215):
+    # (1, 4) would otherwise read column 4, which holds (2, 1)
+    coeffs = {(2, 1): 1.0, (1, 4): 1.0}
+    table = build_normalization_table(sys215, 2)
+    for t in (None, table):
+        for call in (lambda: reaction_coefficients(coeffs, sys215, WATER, table=t),
+                     lambda: exterior_coefficients(coeffs, coeffs, sys215, WATER, table=t),
+                     lambda: reaction_potential(sys215, coeffs, (0.1, 0.2, 0.3), table=t)):
+            with pytest.raises(OrderOutOfRange, match=r"\(1, 4\)"):
+                call()
+
+
 def test_energy_bilinearity(sys215):
     charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7)]
     base = solvation_energy(sys215, charges, WATER, N=6).energy_kcal
