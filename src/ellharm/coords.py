@@ -81,25 +81,20 @@ def new_system(a: float, b: float, c: float) -> EllipsoidSystem:
     return EllipsoidSystem(a=float(a), b=float(b), c=float(c), h=h, k=k)
 
 
-def _sgn(v: float) -> int:
-    return 1 if v >= 0 else -1
-
-
 def _polish_root(w1: float, w2: float, w3: float, u: float) -> float:
     """Newton-polish a root of u^3 + w1 u^2 + w2 u + w3.
 
     The trigonometric solution loses relative accuracy for points far from
     the ellipsoid (the three roots then differ by many orders of magnitude);
     a step or two of Newton restores it.  Steps are skipped when the local
-    slope is too small (nearly multiple roots) or the correction is large.
+    slope is too small (nearly multiple roots) or the correction is large or nan.
     """
     for _ in range(2):
-        f = ((u + w1) * u + w2) * u + w3
         df = (3.0 * u + 2.0 * w1) * u + w2
         if df == 0.0:
             break
-        step = f / df
-        if not math.isfinite(step) or abs(step) > 0.1 * max(1.0, abs(u)):
+        step = (((u + w1) * u + w2) * u + w3) / df
+        if not abs(step) <= 0.1 * (abs(u) if abs(u) > 1.0 else 1.0):
             break
         u -= step
     return u
@@ -116,7 +111,7 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
-    h2, k2 = sys.h2, sys.k2
+    h2, k2 = sys.h * sys.h, sys.k * sys.k
     x2, y2, z2 = x * x, y * y, z * z
     w1 = -(x2 + y2 + z2 + h2 + k2)
     w2 = x2 * (h2 + k2) + y2 * k2 + z2 * h2 + h2 * k2
@@ -125,47 +120,39 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     R = (9.0 * w1 * w2 - 27.0 * w3 - 2.0 * w1 ** 3) / 54.0
     # roundoff can push |R|/Q^{3/2} marginally above 1 near coordinate planes
     ct = min(1.0, max(-1.0, R / math.sqrt(Q ** 3)))
-    theta = math.acos(ct)
-    sq = 2.0 * math.sqrt(Q)
-    lam2 = sq * math.cos(theta / 3.0) - w1 / 3.0
-    mu2 = sq * math.cos(theta / 3.0 + 4.0 * math.pi / 3.0) - w1 / 3.0
-    nu2 = sq * math.cos(theta / 3.0 + 2.0 * math.pi / 3.0) - w1 / 3.0
-    lam2 = _polish_root(w1, w2, w3, lam2)
-    mu2 = _polish_root(w1, w2, w3, mu2)
-    nu2 = _polish_root(w1, w2, w3, nu2)
+    third = math.acos(ct) / 3.0
+    sq, shift = 2.0 * math.sqrt(Q), w1 / 3.0
+    lam2 = _polish_root(w1, w2, w3, sq * math.cos(third) - shift)
+    mu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 4.0 * math.pi / 3.0) - shift)
+    nu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 2.0 * math.pi / 3.0) - shift)
     # snap roots that agree with a semifocal square to machine precision: the
     # reconstruction multiplies (root - h^2) etc. by lambda^2, so a one-ulp
     # residual at a coordinate plane would otherwise be amplified
-    for c2 in (h2, k2):
-        if abs(mu2 - c2) <= 1e-13 * max(1.0, c2):
-            mu2 = c2
-        if abs(nu2 - c2) <= 1e-13 * max(1.0, c2):
-            nu2 = c2
-    if abs(lam2 - k2) <= 1e-13 * max(1.0, k2):
-        lam2 = k2
-    if abs(nu2) <= 1e-13:
-        nu2 = 0.0
-    sx, sy, sz = _sgn(x), _sgn(y), _sgn(z)
+    tol_h = 1e-13 * (h2 if h2 > 1.0 else 1.0)
+    tol_k = 1e-13 * (k2 if k2 > 1.0 else 1.0)
+    mu2 = h2 if abs(mu2 - h2) <= tol_h else mu2
+    nu2 = h2 if abs(nu2 - h2) <= tol_h else nu2
+    mu2 = k2 if abs(mu2 - k2) <= tol_k else mu2
+    nu2 = k2 if abs(nu2 - k2) <= tol_k else nu2
+    lam2 = k2 if abs(lam2 - k2) <= tol_k else lam2
+    nu2 = 0.0 if abs(nu2) <= 1e-13 else nu2
+    sx, sy, sz = (1 if x >= 0 else -1), (1 if y >= 0 else -1), (1 if z >= 0 else -1)
     sl, sm, sn = sx * sy * sz, sx * sy, sx * sz
-    p = EllipsoidalPoint(
-        lam=sl * math.sqrt(max(lam2, 0.0)),
-        mu=sm * math.sqrt(max(mu2, 0.0)),
-        nu=sn * math.sqrt(max(nu2, 0.0)),
-        s_lambda=sl, s_mu=sm, s_nu=sn,
-    )
-    xr, yr, zr = ell_to_cart(sys, p)
-    if max(abs(xr - x), abs(yr - y), abs(zr - z)) > _ROUND_TRIP_TOL:
-        raise RoundTripFailure(
-            f"round trip of {(x, y, z)} off by "
-            f"{max(abs(xr - x), abs(yr - y), abs(zr - z)):.3e} (> 1e-6)")
-    return p
+    # a negative root from roundoff is clipped to 0; a nan root stays nan
+    lam = sl * math.sqrt(0.0 if lam2 < 0.0 else lam2)
+    mu = sm * math.sqrt(0.0 if mu2 < 0.0 else mu2)
+    nu = sn * math.sqrt(0.0 if nu2 < 0.0 else nu2)
+    xr, yr, zr = _cartesian(h2, k2, lam, mu, nu, sl, sm, sn)
+    err = max(abs(xr - x), abs(yr - y), abs(zr - z))
+    if err > _ROUND_TRIP_TOL:
+        raise RoundTripFailure(f"round trip of {(x, y, z)} off by {err:.3e} (> 1e-6)")
+    return EllipsoidalPoint(lam=lam, mu=mu, nu=nu, s_lambda=sl, s_mu=sm, s_nu=sn)
 
 
-def ell_to_cart(sys: EllipsoidSystem, p: EllipsoidalPoint):
-    """Signed ellipsoidal -> Cartesian coordinates."""
-    h2, k2 = sys.h2, sys.k2
-    l2, m2, n2 = p.lam * p.lam, p.mu * p.mu, p.nu * p.nu
-    slack = 1e-12 * max(1.0, l2)
+def _cartesian(h2, k2, lam, mu, nu, s_lambda, s_mu, s_nu):
+    """Signed ellipsoidal -> Cartesian, after checking the coordinate ranges."""
+    l2, m2, n2 = lam * lam, mu * mu, nu * nu
+    slack = 1e-12 * (l2 if l2 > 1.0 else 1.0)
     if l2 < k2 - slack or m2 < h2 - slack or m2 > k2 + slack or n2 > h2 + slack:
         raise RangeViolation(
             f"coordinates out of range: lam^2={l2}, mu^2={m2}, nu^2={n2} "
@@ -173,14 +160,14 @@ def ell_to_cart(sys: EllipsoidSystem, p: EllipsoidalPoint):
     x2 = l2 * m2 * n2 / (h2 * k2)
     y2 = (l2 - h2) * (m2 - h2) * (h2 - n2) / (h2 * (k2 - h2))
     z2 = (l2 - k2) * (k2 - m2) * (k2 - n2) / (k2 * (k2 - h2))
-    sx = p.s_lambda * p.s_mu * p.s_nu
-    sy = p.s_lambda * p.s_nu
-    sz = p.s_lambda * p.s_mu
+    return (s_lambda * s_mu * s_nu * math.sqrt(0.0 if x2 < 0.0 else x2),
+            s_lambda * s_nu * math.sqrt(0.0 if y2 < 0.0 else y2),
+            s_lambda * s_mu * math.sqrt(0.0 if z2 < 0.0 else z2))
 
-    def root(v):
-        return math.sqrt(max(v, 0.0))
 
-    return sx * root(x2), sy * root(y2), sz * root(z2)
+def ell_to_cart(sys: EllipsoidSystem, p: EllipsoidalPoint):
+    """Signed ellipsoidal -> Cartesian coordinates."""
+    return _cartesian(sys.h2, sys.k2, p.lam, p.mu, p.nu, p.s_lambda, p.s_mu, p.s_nu)
 
 
 def normal_derivative_factor(sys: EllipsoidSystem, mu: float, nu: float) -> float:

@@ -118,8 +118,8 @@ def gamma(sys: EllipsoidSystem, idx: HarmonicIndex,
           quad_order: int = GAMMA_ORDER_DEFAULT,
           with_error: bool = False):
     """Normalization constant gamma_n^p with an order-doubling error check."""
-    if quad_order < 16:
-        raise OrderOutOfRange("quad_order must be >= 16")
+    if not 16 <= quad_order <= GAMMA_ORDER_MAX:
+        raise OrderOutOfRange(f"quad_order={quad_order} outside 16..{GAMMA_ORDER_MAX}")
     f = lame_function(sys, idx.n, idx.p)
     order = quad_order
     val = _gamma_fixed_order(sys, f, order)

@@ -178,6 +178,16 @@ def _leibniz(x, y):
     return out
 
 
+def _horner(t, b):
+    """P(t) = sum_j b_j t^j, or P of each column of b, by numpy ``polyval``'s
+    operations in its order, in place: equal to ``polyval`` bit for bit."""
+    acc = b[-1] + t * 0
+    for j in range(len(b) - 2, -1, -1):
+        acc *= t
+        acc += b[j]
+    return acc
+
+
 def _where(present, factor):
     """A psi factor (value, derivatives) in the columns where its exponent
     ``present`` is set, and the factor 1 elsewhere."""
@@ -219,15 +229,13 @@ def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
                     "derivative unbounded at a branch point |s| = h or k")
             factor += [s_arr * np.sign(w) / v, -semifocal2 / v ** 3]
         out = _leibniz(out, _where(present, factor) if masked else factor)
-    pv = np.polynomial.polynomial
-    tensor = b.ndim == 1   # else the columns of b lie on the trailing axis
     t = 1.0 - s_arr * s_arr / sys.h2
-    P = [pv.polyval(t, b, tensor)]
+    P = [_horner(t, b)]
     if nderiv:
         tp = -2.0 * s_arr / sys.h2
-        db = pv.polyder(b)
-        Pt = pv.polyval(t, db, tensor)
-        Ptt = pv.polyval(t, pv.polyder(db), tensor)
+        db = np.polynomial.polynomial.polyder(b)
+        Pt = _horner(t, db)
+        Ptt = _horner(t, np.polynomial.polynomial.polyder(db))
         P += [Pt * tp, Ptt * tp * tp + Pt * (-2.0 / sys.h2)]
     out = _leibniz(out, P)
     if scalar:
@@ -261,10 +269,8 @@ def _condition(sys: EllipsoidSystem, b, s):
     or for the columns of an (m, F) matrix on a trailing axis that s
     broadcasts against, as in ``_eval``; the zero padding adds exact zeros."""
     t = 1.0 - s * s / sys.h2
-    pv = np.polynomial.polynomial
-    tensor = b.ndim == 1
-    P = np.abs(pv.polyval(t, b, tensor))
-    S = pv.polyval(np.abs(t), np.abs(b), tensor)
+    P = np.abs(_horner(t, b))
+    S = _horner(np.abs(t), np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(P > 0, S / P, np.where(S > 0, np.inf, 1.0))
 

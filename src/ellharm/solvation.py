@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
-from .errors import ChargeOutsideEllipsoid, ResonantDenominator, ValidationError
+from .errors import (ChargeOutsideEllipsoid, RangeViolation, ResonantDenominator,
+                     ValidationError)
 from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
                         _interior_pass)
 from .lame1 import N_MAX_DEFAULT
@@ -107,7 +108,7 @@ def _interior_terms(sys: EllipsoidSystem, charges, N: int,
     H = (N + 1) ** 2
     qE3 = np.array([ch.q for ch in charges], dtype=float) @ _interior_pass(
         sys, table.exponents[:, :H], table.coeffs[:, :H],
-        [cart_to_ell(sys, *ch.position) for ch in charges])
+        [cart_to_ell(sys, ch.x, ch.y, ch.z) for ch in charges])
     return table, qE3, table.prefactor[:H] * qE3
 
 
@@ -129,15 +130,15 @@ def _columns(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
 
 def _reaction_factor(diel: DielectricModel, surface, keys) -> np.ndarray:
     """R in B = R G by column of ``surface`` (rows E, E', F, F' at lambda = a,
-    columns named by ``keys``); identically zero when eps1 == eps2."""
+    columns named in order by the iterable ``keys``); zero when eps1 == eps2."""
     e1, e2 = diel.eps1, diel.eps2
     E, dE, F, dF = surface
     if e1 == e2:
         return np.zeros(len(E))
     denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
-    if np.any(resonant := np.abs(denom) < 1e-12):
+    if (resonant := np.abs(denom) < 1e-12).any():
         raise ResonantDenominator("reaction denominator vanishes at (n, p) = "
-                                  "({}, {})".format(*keys[np.argmax(resonant)]))
+                                  "({}, {})".format(*list(keys)[np.argmax(resonant)]))
     return (e1 - e2) / (e1 * e2) * (F / E) / denom
 
 
@@ -147,7 +148,7 @@ def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
     if diel.eps1 == diel.eps2:
         return dict.fromkeys(G, 0.0)
     table, cols = _columns(sys, G, table)
-    R = _reaction_factor(diel, table.surface[:, cols], list(G))
+    R = _reaction_factor(diel, table.surface[:, cols], G)
     return {key: r * g for (key, g), r in zip(G.items(), R.tolist())}
 
 
@@ -173,9 +174,13 @@ def expansion_coefficients(sys: EllipsoidSystem, charges, diel: DielectricModel,
 
 def reaction_potential(sys: EllipsoidSystem, B: dict, point,
                        table: NormalizationTable | None = None) -> float:
-    """psi(r) = sum B_n^p E3_n^p(r) at an interior Cartesian point."""
+    """psi(r) = sum B_n^p E3_n^p(r) at a Cartesian point inside the ellipsoid,
+    up to a 1e-12 slack for rounded surface points (else RangeViolation)."""
+    x, y, z = point
+    if (x / sys.a) ** 2 + (y / sys.b) ** 2 + (z / sys.c) ** 2 > 1.0 + 1e-12:
+        raise RangeViolation(f"point {(x, y, z)} is outside the ellipsoid")
     keys = sorted(B)
-    pts = [cart_to_ell(sys, *point)]
+    pts = [cart_to_ell(sys, x, y, z)]
     table, cols = _columns(sys, keys, table)
     E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], pts)[0]
     return float(E3 @ np.array([B[key] for key in keys]))
@@ -186,7 +191,7 @@ def solvation_energy(sys: EllipsoidSystem, charges, diel: DielectricModel,
                      table: NormalizationTable | None = None) -> EnergyReport:
     """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) (q^T E3) B."""
     table, qE3, G = _interior_terms(sys, charges, N, table)
-    B = _reaction_factor(diel, table.surface[:, :len(G)], list(table.functions)) * G
+    B = _reaction_factor(diel, table.surface[:, :len(G)], table.functions) * G
     energy = 0.5 * float(qE3 @ B)
     return EnergyReport(energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                         energy_gaussian=energy, N=N)

@@ -188,6 +188,16 @@ def test_negative_order_exits_2(tmp_path, capsys, args):
     assert json.loads(capsys.readouterr().err)["error"] == "OrderOutOfRange"
 
 
+def test_gamma_quad_order_above_the_cap_exits_2_before_any_rule(capsys, monkeypatch):
+    import ellharm.harmonics
+    orders = []
+    monkeypatch.setattr(ellharm.harmonics, "gauss_legendre",
+                        lambda order, *args: orders.append(order))
+    assert main(["gamma", "--order", "2", "--quad-order", "257"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "OrderOutOfRange"
+    assert orders == []
+
+
 def test_exit_code_numerical_error():
     # a field point with smaller lambda than the source is an ordering
     # violation (validation), but a field point exactly on the focal ellipse

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cart_to_ell_reference
 from ellharm.coords import (cart_to_ell, ell_to_cart, new_system,
                             normal_derivative_factor, surface_point,
                             EllipsoidalPoint)
@@ -158,3 +160,50 @@ def test_normal_factor_vs_cartesian_gradient(sys215):
     dx_dlam = mu * nu / (sys215.h * sys215.k)
     lhs = normal_derivative_factor(sys215, mu, nu) * dx_dlam
     assert abs(lhs - n_hat[0]) < 1e-10
+
+
+def _special_points(sys):
+    """The origin and the coordinate planes with signed zeros, the axes, the
+    foci, and far points out to where x^2 overflows."""
+    a, b, c, h, k = sys.a, sys.b, sys.c, sys.h, sys.k
+    pts = [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (1, 2, 3)]
+    for t in (0.5, 1.0, 2.0):
+        for s in (1.0, -1.0):
+            pts += [(s * t * a, 0.0, 0.0), (0.0, s * t * b, -0.0), (-0.0, 0.0, s * t * c)]
+    for f in (h, k):
+        for s in (1.0, -1.0):
+            pts += [(s * f, 0.0, 0.0), (s * f, -0.0, 0.0), (s * f, 0.0, -0.0)]
+    for r in (1e3, 1e6, 1e12, 1e100, 1e103, 1e160):
+        for d in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (-0.3, 0.5, -0.8)):
+            pts.append(tuple(r * e for e in d))
+    return pts
+
+
+def _outcome(transform, sys, p):
+    """The fields of the transformed point, in a form that tells -0.0 from
+    0.0 and keeps nan, or the type of the exception it raised."""
+    try:
+        return repr(dataclasses.astuple(transform(sys, *p)))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("axes", [(15.0, 12.0, 10.0), (2.0, 1.5, 1.0), (10.0, 3.0, 1.0),
+                                  (100.0, 2.0, 1.0), (1.001, 1.0002, 1.0001)])
+def test_cart_to_ell_equals_reference_bit_for_bit(axes):
+    sys = new_system(*axes)
+    rng = np.random.default_rng(20)
+    scale = 3.0 * np.array(axes)
+    pts = [tuple(p) for p in (rng.uniform(-1.0, 1.0, (1500, 3)) * scale).tolist()]
+    for x, y, z in (rng.uniform(-1.0, 1.0, (100, 3)) * scale).tolist():
+        for zero in (0.0, -0.0):
+            pts += [(zero, y, z), (x, zero, z), (x, y, zero)]
+    pts += _special_points(sys)
+    got = [_outcome(cart_to_ell, sys, p) for p in pts]
+    want = [_outcome(cart_to_ell_reference, sys, p) for p in pts]
+    mismatched = [(p, g, w) for p, g, w in zip(pts, got, want) if g != w]
+    assert mismatched == [], mismatched[:3]
+    # the set reaches every error the transform raises, and every octant
+    assert {"OverflowError", "RangeViolation", "RoundTripFailure"} <= set(want)
+    signs = {(p[0] >= 0, p[1] >= 0, p[2] >= 0) for p, w in zip(pts, want) if w[0] == "("}
+    assert len(signs) == 8

@@ -61,11 +61,17 @@ def test_traced_names_resolve():
 
 
 def test_eval_lame_bound_where_the_tracer_patches_it():
-    # perfbench's tracer test checks that eval_lame is wrapped on each of
-    # these modules, so each must bind the one function
-    eval_lame = importlib.import_module("ellharm.lame1").eval_lame
-    for name in ("ellharm", "ellharm.lame1", "ellharm.lame2", "ellharm.harmonics"):
-        assert importlib.import_module(name).eval_lame is eval_lame, name
+    # perfbench's tracer wraps a layer function at every module binding that
+    # holds it: its tracer test checks eval_lame on these modules, and its
+    # coords.cart_to_ell counter sees every transform only if each caller
+    # binds the one function
+    for name, modules in [
+            ("eval_lame", ("ellharm.lame1", "ellharm", "ellharm.lame2", "ellharm.harmonics")),
+            ("cart_to_ell", ("ellharm.coords", "ellharm", "ellharm.solvation",
+                             "ellharm.harmonics"))]:
+        func = getattr(importlib.import_module(modules[0]), name)
+        for module in modules:
+            assert getattr(importlib.import_module(module), name) is func, (module, name)
 
 
 def test_table_build_calls_gamma_per_harmonic(monkeypatch):

@@ -239,9 +239,19 @@ def test_table_gamma_equals_tensor_rule_reference(semiaxes):
         assert table.error_estimates[key] <= 1e-8, key
 
 
-def test_gamma_quad_order_validated(sys215):
-    with pytest.raises(OrderOutOfRange):
-        gamma(sys215, HarmonicIndex(0, 1), quad_order=8)
+def test_gamma_quad_order_validated(sys215, monkeypatch):
+    # an order outside 16..GAMMA_ORDER_MAX raises before any rule is built
+    from ellharm import harmonics
+    orders = []
+    rule = harmonics.gauss_legendre
+    monkeypatch.setattr(harmonics, "gauss_legendre",
+                        lambda order, *args: orders.append(order) or rule(order, *args))
+    for quad_order in (8, harmonics.GAMMA_ORDER_MAX + 1):
+        with pytest.raises(OrderOutOfRange):
+            gamma(sys215, HarmonicIndex(0, 1), quad_order=quad_order)
+    assert orders == []
+    gamma(sys215, HarmonicIndex(0, 1), quad_order=16)
+    assert orders == [16, 32]
 
 
 # scipy's reference quadrature warns about its own round-off; the

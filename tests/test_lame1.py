@@ -8,10 +8,10 @@ from scipy.special import ellip_harm
 from conftest import lame_reference
 from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import BranchPointDerivative, OrderOutOfRange
-from ellharm.lame1 import (LameClass, build_tridiagonal, class_dim, class_of,
-                           eval_lame, eval_lame_condition, eval_lame_derivative,
-                           eval_lame_second_derivative, lame_function,
-                           lame_residual)
+from ellharm.lame1 import (LameClass, _horner, _padded, build_tridiagonal,
+                           class_dim, class_of, eval_lame, eval_lame_condition,
+                           eval_lame_derivative, eval_lame_second_derivative,
+                           lame_function, lame_residual)
 
 
 def test_class_of_examples():
@@ -226,3 +226,23 @@ def test_integrand_condition_peaks_at_lower_limit(sys215):
             for p in range(1, 2 * n + 2):
                 c = eval_lame_condition(lame_function(sys215, n, p), s)
                 assert np.all(c <= c[0] * (1.0 + 1e-12)), (lam, n, p)
+
+
+def test_horner_equals_polyval_bit_for_bit(sys_fig3):
+    # the in-place Horner sum repeats polyval's operations in its order, so
+    # values, signed zeros and shapes agree byte for byte
+    pv = np.polynomial.polynomial
+    t = np.concatenate([np.random.default_rng(5).uniform(-3.0, 3.0, 40), [0.0, -0.0]])
+    b = lame_function(sys_fig3, 12, 7).coeffs
+    B = _padded([lame_function(sys_fig3, n, p) for n in range(7)
+                 for p in range(1, 2 * n + 2)])[1]
+    cases = [(t, b, True), (np.float64(0.7), b, True),          # 1-D coefficients
+             (t[:, None], B, False), (np.stack([t, -t, 2 * t])[:, :, None], B, False),
+             (t, b[:1], True), (t[:, None], B[:1], False)]       # m = 1
+    for coeffs in (b, B):                                        # the polyder arrays
+        d1 = pv.polyder(coeffs)
+        for d in (d1, pv.polyder(d1), pv.polyder(pv.polyder(d1))):
+            cases.append((t if d.ndim == 1 else t[:, None], d, d.ndim == 1))
+    for x, c, tensor in cases:
+        got, want = np.asarray(_horner(x, c)), np.asarray(pv.polyval(x, c, tensor))
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), c.shape

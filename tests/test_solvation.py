@@ -8,7 +8,7 @@ from ellharm.coords import cart_to_ell, ell_to_cart, surface_point
 from ellharm.coords import normal_derivative_factor
 from ellharm.coords import new_system
 from ellharm.errors import (ChargeOutsideEllipsoid, OrderOutOfRange,
-                            ValidationError)
+                            RangeViolation, ValidationError)
 from ellharm.lame1 import eval_lame, lame_function
 from ellharm.harmonics import (HarmonicIndex, build_normalization_table,
                                exterior_solid)
@@ -270,6 +270,20 @@ def test_reaction_potential_with_and_without_table():
     with pytest.raises(ValidationError):
         reaction_potential(new_system(16.0, 12.0, 10.0), B, (1.0, 1.0, 1.0),
                            table=table)
+
+
+def test_reaction_potential_rejects_points_outside_the_ellipsoid():
+    sys, charges = _fig3_setup()
+    table = build_normalization_table(sys, 4)
+    B = expansion_coefficients(sys, charges, WATER, 4, table=table).B
+    for xyz in [(30.0, 4.0, 5.0), (15.0 * (1.0 + 1e-9), 0.0, 0.0)]:
+        with pytest.raises(RangeViolation):
+            reaction_potential(sys, B, xyz, table=table)
+    # surface points pushed outward by rounding, here 1e-13 relative, still count
+    for mu, nu, sign in [(9.5, 3.0, 1.0), (11.0, 8.0, -1.0)]:
+        r = np.array(ell_to_cart(sys, surface_point(sys, mu, nu, s_mu=-1))) * (1.0 + 1e-13)
+        assert sum((r / [sys.a, sys.b, sys.c]) ** 2) > 1.0
+        assert math.isfinite(reaction_potential(sys, B, sign * r, table=table))
 
 
 def test_inversion_through_centre_gives_the_same_energy():
