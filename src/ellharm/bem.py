@@ -71,7 +71,7 @@ class BemSolution:
 class ConvergenceStudy:
     panel_counts: list
     energies: list
-    deviations: list        # |energy - reference| if a reference was supplied
+    deviations: list        # |energy - reference| by level
     fitted_slope: float     # log-log slope of deviation vs panel count
     richardson_limit: float
 
@@ -201,14 +201,13 @@ def _richardson(counts, energies):
 
 
 def convergence_study(mesh_factory, charges, diel: DielectricModel,
-                      refinements, reference: float | None = None) -> ConvergenceStudy:
+                      refinements, reference: float) -> ConvergenceStudy:
     """Run solve_bem across refinement levels and summarize convergence.
 
     ``mesh_factory(refinement)`` must return a TriMesh, with panel counts
     that strictly increase along ``refinements``.  The fitted slope is
-    the log-log slope of |energy - reference| vs panel count, where the
-    reference is the supplied semi-analytic value if given, else the
-    Richardson limit of the sequence itself.
+    the log-log slope of |energy - reference| vs panel count, where
+    ``reference`` is an independent energy such as the semi-analytic one.
     """
     refinements = list(refinements)
     if len(refinements) < 3:
@@ -218,15 +217,13 @@ def convergence_study(mesh_factory, charges, diel: DielectricModel,
     if any(m >= n for m, n in zip(counts, counts[1:])):
         raise ValueError(f"panel counts {counts} must strictly increase")
     energies = [solve_bem(mesh, charges, diel).energy_kcal for mesh in meshes]
-    limit = _richardson(counts, energies)
-    ref_val = reference if reference is not None else limit
-    deviations = [abs(e - ref_val) for e in energies]
+    deviations = [abs(e - reference) for e in energies]
     logN = np.log(np.asarray(counts, dtype=float))
     logD = np.log(np.maximum(deviations, 1e-300))
     slope = -float(np.polyfit(logN, logD, 1)[0])
     return ConvergenceStudy(panel_counts=counts, energies=energies,
                             deviations=deviations, fitted_slope=slope,
-                            richardson_limit=limit)
+                            richardson_limit=_richardson(counts, energies))
 
 
 def export_mesh(mesh: TriMesh, path: str) -> None:

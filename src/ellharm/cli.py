@@ -201,13 +201,12 @@ def cmd_harmonic(args):
 
 def cmd_gamma(args):
     sys = _system(args)
-    table = harmonics.build_normalization_table(sys, args.order,
-                                                quad_order=args.quad_order)
+    table = harmonics.build_normalization_table(sys, args.order)
     rows = [{"n": n, "p": p, "gamma": table.gamma[(n, p)],
              "error_estimate": table.error_estimates[(n, p)]}
             for (n, p) in sorted(table.gamma)]
     config = {"semiaxes": args.semiaxes, "subcommand": "gamma",
-              "order": args.order, "quad_order": args.quad_order}
+              "order": args.order}
     write_table(args, config, ["n", "p", "gamma", "error_estimate"], rows,
                 units="Angstrom^(2n+1) scaling per index")
 
@@ -360,7 +359,6 @@ def build_parser():
     p.set_defaults(func=cmd_harmonic)
 
     p = add_parser("gamma", help="normalization constants table")
-    p.add_argument("--quad-order", type=int, default=64)
     p.set_defaults(func=cmd_gamma)
 
     p = add_parser("coulomb", help="Coulomb-kernel expansion convergence")

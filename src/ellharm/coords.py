@@ -78,6 +78,10 @@ def new_system(a: float, b: float, c: float) -> EllipsoidSystem:
             f"near-degenerate semiaxes {(a, b, c)}: spheroid/sphere limits unsupported")
     h = math.sqrt(a * a - b * b)
     k = math.sqrt(a * a - c * c)
+    # the reverse map divides by k^2 - h^2, which cancels when b, c << a
+    if k * k - h * h <= 1e-12 * (k * k):
+        raise DegenerateEllipsoid(
+            f"semiaxes {(a, b, c)}: k^2 - h^2 = {k * k - h * h:.3e} cancels against k^2")
     return EllipsoidSystem(a=float(a), b=float(b), c=float(c), h=h, k=k)
 
 
@@ -117,9 +121,13 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     w2 = x2 * (h2 + k2) + y2 * k2 + z2 * h2 + h2 * k2
     w3 = -x2 * h2 * k2
     Q = (w1 * w1 - 3.0 * w2) / 9.0
-    R = (9.0 * w1 * w2 - 27.0 * w3 - 2.0 * w1 ** 3) / 54.0
-    # roundoff can push |R|/Q^{3/2} marginally above 1 near coordinate planes
-    ct = min(1.0, max(-1.0, R / math.sqrt(Q ** 3)))
+    try:
+        R = (9.0 * w1 * w2 - 27.0 * w3 - 2.0 * w1 ** 3) / 54.0
+        # roundoff can push |R|/Q^{3/2} marginally above 1 near coordinate planes
+        ct = min(1.0, max(-1.0, R / math.sqrt(Q ** 3)))
+    except OverflowError:
+        # Q^3 overflows from |r| ~ 1e26 on, w1^3 from ~ 2e51 on
+        raise RoundTripFailure(f"the cubic of {(x, y, z)} overflows") from None
     third = math.acos(ct) / 3.0
     sq, shift = 2.0 * math.sqrt(Q), w1 / 3.0
     lam2 = _polish_root(w1, w2, w3, sq * math.cos(third) - shift)
@@ -144,7 +152,8 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     nu = sn * math.sqrt(0.0 if nu2 < 0.0 else nu2)
     xr, yr, zr = _cartesian(h2, k2, lam, mu, nu, sl, sm, sn)
     err = max(abs(xr - x), abs(yr - y), abs(zr - z))
-    if err > _ROUND_TRIP_TOL:
+    # from |r| ~ 1.4e154 on, x^2 is inf, every root nan and so is err
+    if not err <= _ROUND_TRIP_TOL:
         raise RoundTripFailure(f"round trip of {(x, y, z)} off by {err:.3e} (> 1e-6)")
     return EllipsoidalPoint(lam=lam, mu=mu, nu=nu, s_lambda=sl, s_mu=sm, s_nu=sn)
 

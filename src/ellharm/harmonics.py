@@ -56,7 +56,7 @@ __all__ = [
 # six of its sixteen digits to cancellation: its degree is flagged
 CANCELLATION_THRESHOLD = 1e6
 
-GAMMA_ORDER_DEFAULT = 64
+GAMMA_ORDER_START = 64
 GAMMA_ORDER_MAX = 256
 
 
@@ -114,14 +114,11 @@ def _gamma_fixed_order(sys: EllipsoidSystem, f, order: int) -> float:
     return 8.0 * float(np.sum(a * mu ** 2) * np.sum(b) - np.sum(a) * np.sum(b * nu ** 2))
 
 
-def gamma(sys: EllipsoidSystem, idx: HarmonicIndex,
-          quad_order: int = GAMMA_ORDER_DEFAULT,
-          with_error: bool = False):
-    """Normalization constant gamma_n^p with an order-doubling error check."""
-    if not 16 <= quad_order <= GAMMA_ORDER_MAX:
-        raise OrderOutOfRange(f"quad_order={quad_order} outside 16..{GAMMA_ORDER_MAX}")
+def gamma(sys: EllipsoidSystem, idx: HarmonicIndex, with_error: bool = False):
+    """Normalization constant gamma_n^p with an order-doubling error check:
+    orders 64, 128 and 256, until two agree to 1e-8 relative."""
     f = lame_function(sys, idx.n, idx.p)
-    order = quad_order
+    order = GAMMA_ORDER_START
     val = _gamma_fixed_order(sys, f, order)
     while True:
         order *= 2
@@ -150,8 +147,7 @@ class NormalizationTable:
     surface: np.ndarray    # (4, columns) E, E', F, F' at lambda = a
 
 
-def build_normalization_table(sys: EllipsoidSystem, N: int,
-                              quad_order: int = GAMMA_ORDER_DEFAULT) -> NormalizationTable:
+def build_normalization_table(sys: EllipsoidSystem, N: int) -> NormalizationTable:
     if N < 0:
         raise OrderOutOfRange(f"truncation degree N={N} is negative")
     # one eigensolve per (n, class); classes K, L, M, N give p = 1 .. 2n + 1
@@ -160,7 +156,7 @@ def build_normalization_table(sys: EllipsoidSystem, N: int,
     fns = dict(zip([(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)], functions))
     gam, errs = {}, {}
     for key in fns:
-        gam[key], errs[key] = gamma(sys, HarmonicIndex(*key), quad_order, with_error=True)
+        gam[key], errs[key] = gamma(sys, HarmonicIndex(*key), with_error=True)
     arrays = (*_padded(functions),
               np.array([4.0 * math.pi / (2 * n + 1) / g for (n, _), g in gam.items()]),
               np.array(_second_kind(functions, sys.a)[:4]))

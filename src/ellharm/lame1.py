@@ -83,7 +83,6 @@ def class_of(n: int, p: int) -> LameClass:
         if q < cnt:
             return LameClass(tag=tag, n=n, p_local=q)
         q -= cnt
-    raise OrderOutOfRange(f"order p={p} invalid for degree n={n}")  # unreachable
 
 
 def psi_exponents(tag: str, n: int):

@@ -52,7 +52,7 @@ def _integrand(f: LameFunction, s, root_k):
     return 1.0 / (E * E * root_k * np.sqrt(s * s - f.system.h2))
 
 
-def eval_I(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> float:
+def eval_I(f: LameFunction, lam: float) -> float:
     """I_n^p(lam) for lam strictly above the branch point k."""
     sys = f.system
     k = sys.k
@@ -64,23 +64,22 @@ def eval_I(f: LameFunction, lam: float, rel_tol: float = 1e-10) -> float:
     if lam <= _NEAR_SINGULAR_FACTOR * k:
         # head on [lam, 1.05 k] via s = k cosh(t): ds / sqrt(s^2 - k^2) = dt
         res = adaptive_quad(lambda t: _integrand(f, k * np.cosh(t), 1.0),
-                            math.acosh(lam / k), math.acosh(_SPLIT_FACTOR),
-                            rel_tol=rel_tol)
+                            math.acosh(lam / k), math.acosh(_SPLIT_FACTOR))
         if not res.converged:
             raise NonConvergence("head quadrature did not converge")
         total += res.value
         lo = _SPLIT_FACTOR * k
 
     res = adaptive_quad(lambda s: _integrand(f, s, np.sqrt(s * s - sys.k2)),
-                        lo, math.inf, rel_tol=rel_tol)
+                        lo, math.inf)
     if not res.converged:
         raise NonConvergence("tail quadrature did not converge")
     return total + res.value
 
 
-def surface_I(f: LameFunction, rel_tol: float = 1e-10) -> float:
+def surface_I(f: LameFunction) -> float:
     """I_n^p(a), the integral on the ellipsoid's own surface."""
-    return eval_I(f, f.system.a, rel_tol=rel_tol)
+    return eval_I(f, f.system.a)
 
 
 def _second_kind(functions, lam: float):

@@ -131,7 +131,7 @@ def second_kind_reference(f, lam):
     return E, dE, F, dF, I, dI
 
 
-def gamma_tensor_reference(sys, f, quad_order=64):
+def gamma_tensor_reference(sys, f):
     """(gamma, error estimate) of one function by the order x order tensor
     Gauss-Legendre rule over the octant, with ``gamma``'s order doubling."""
     def fixed(order):
@@ -146,7 +146,7 @@ def gamma_tensor_reference(sys, f, quad_order=64):
         core = (Emu[:, None] ** 2) * (Enu[None, :] ** 2) * (M2 - N2) * W
         return 8.0 * float(np.sum(core))
 
-    order = quad_order
+    order = 64
     val = fixed(order)
     while True:
         order *= 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellharm.bem import (convergence_study, export_mesh, icosphere,
+from ellharm.bem import (_richardson, convergence_study, export_mesh, icosphere,
                          mesh_ellipsoid, mesh_sphere, solve_bem)
 from ellharm.numerics import gauss_legendre
 from ellharm.solvation import DielectricModel, PointCharge, born_energy
@@ -92,17 +92,33 @@ def test_convergence_study_sphere():
     assert abs(study.richardson_limit - exact) <= 0.002 * abs(exact)
 
 
+def test_richardson_from_three_levels():
+    # the three-point geometric estimate is exact on E = 1 + 5/N, and falls
+    # back to the last energy when the differences do not shrink
+    counts = [80, 320, 1280]
+    assert _richardson(counts, [1.0 + 5.0 / n for n in counts]) == 1.0
+    assert _richardson(counts, [3.0, 2.0, 0.5]) == 0.5
+    assert _richardson(counts, [1.0, 2.0, 2.0]) == 2.0
+    exact = born_energy(1.0, 1.0, WATER)
+    study = convergence_study(lambda r: mesh_sphere(1.0, r),
+                              [PointCharge(0, 0, 0, 1.0)], WATER,
+                              refinements=[1, 2, 3], reference=exact)
+    assert abs(study.richardson_limit - exact) <= 0.01 * abs(exact)
+
+
 def test_convergence_study_needs_three_levels(sys215):
     with pytest.raises(ValueError):
         convergence_study(lambda r: mesh_ellipsoid(sys215, r),
-                          [PointCharge(0, 0, 0, 1.0)], WATER, refinements=[1, 2])
+                          [PointCharge(0, 0, 0, 1.0)], WATER, refinements=[1, 2],
+                          reference=-1.0)
 
 
 @pytest.mark.parametrize("refinements", [[1, 1, 1], [2, 1, 0], [0, 1, 1]])
 def test_convergence_study_needs_increasing_panel_counts(sys215, refinements):
     with pytest.raises(ValueError, match="strictly increase"):
         convergence_study(lambda r: mesh_ellipsoid(sys215, r),
-                          [PointCharge(0, 0, 0, 1.0)], WATER, refinements)
+                          [PointCharge(0, 0, 0, 1.0)], WATER, refinements,
+                          reference=-1.0)
 
 
 def test_solution_deterministic(sys215):

@@ -188,14 +188,24 @@ def test_negative_order_exits_2(tmp_path, capsys, args):
     assert json.loads(capsys.readouterr().err)["error"] == "OrderOutOfRange"
 
 
-def test_gamma_quad_order_above_the_cap_exits_2_before_any_rule(capsys, monkeypatch):
+def test_gamma_quad_order_is_no_option_exits_2_before_any_rule(monkeypatch):
     import ellharm.harmonics
     orders = []
     monkeypatch.setattr(ellharm.harmonics, "gauss_legendre",
                         lambda order, *args: orders.append(order))
-    assert main(["gamma", "--order", "2", "--quad-order", "257"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "OrderOutOfRange"
+    assert main(["gamma", "--order", "2", "--quad-order", "64"]) == 2
     assert orders == []
+
+
+@pytest.mark.parametrize("args, code, error", [
+    (["--semiaxes", "2,1.5,1", "transform", "--points", "1e30,0,0"], 3, "RoundTripFailure"),
+    (["--semiaxes", "2,1.5,1", "transform", "--points", "1e160,0,0"], 3, "RoundTripFailure"),
+    (["--semiaxes", "1,3e-12,1e-12", "transform", "--points", "0.5,1e-12,1e-12"],
+     2, "DegenerateEllipsoid"),
+])
+def test_far_point_or_cancelling_semiaxes_exit_with_a_json_error(capsys, args, code, error):
+    assert main(args) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_exit_code_numerical_error():

