@@ -1,5 +1,5 @@
 """ellharm: ellipsoidal harmonics and dielectric solvation for tri-axial
-ellipsoids, cross-validated by a dense boundary-element oracle."""
+ellipsoids, cross-validated by a boundary-element oracle."""
 
 from . import errors
 from .coords import (EllipsoidSystem, EllipsoidalPoint, new_system,

@@ -1,4 +1,4 @@
-"""Dense boundary-element oracle for the two-dielectric solvation problem.
+"""Boundary-element oracle for the two-dielectric solvation problem.
 
 The ellipsoid surface is meshed with flat triangles (a subdivided icosahedron
 scaled per-axis), and the induced apparent surface charge density sigma is
@@ -13,9 +13,13 @@ interaction of the charges with the induced charge:
 
     E = (1/2) sum_k q_k sum_i sigma_i A_i / |r_k - c_i|.
 
-Everything is deliberately simple (flat panels, centroid rule, dense direct
+Everything is deliberately simple (flat panels, centroid rule, direct
 solve) -- this module is an independent numerical cross-check, not a
-production solver, and its convergence is first order in panel count.
+production solver, and its convergence is first order in panel count.  The
+one shortcut is exact: the mesh is invariant under the eight coordinate sign
+flips, so the collocation matrix commutes with eight panel permutations and
+``solve_bem`` splits it into eight dense blocks, one per character of that
+group, from the matrix rows of one panel per orbit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import EllipsoidSystem
-from .errors import SingularSystem
+from .errors import NumericalError, SingularSystem
 from .solvation import DielectricModel, KCAL_PER_E2_PER_ANGSTROM
 from ._kernels import assemble_influence_matrix
 
@@ -49,6 +53,7 @@ class TriMesh:
     centroids: np.ndarray   # (T, 3)
     areas: np.ndarray       # (T,)
     normals: np.ndarray     # (T, 3) outward unit normals
+    mirrors: np.ndarray     # (8, T) int: row g maps each panel to its image under s_g
 
     @property
     def panel_count(self) -> int:
@@ -76,6 +81,13 @@ class ConvergenceStudy:
     richardson_limit: float
 
 
+# the sign flips s_g (bit a of g flips axis a) and the characters
+# chi_e(g) = prod_a s_g[a]^(e_a) of the group they form, one row per e
+_BITS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+_SIGNS = 1 - 2 * _BITS
+_CHARACTERS = np.prod(_SIGNS[None, :, :] ** _BITS[:, None, :], axis=2)
+
+
 def icosphere(refinement: int):
     """Unit-sphere triangulation: icosahedron with ``refinement`` rounds of
     edge-midpoint subdivision and re-projection; 20 * 4^refinement faces."""
@@ -93,29 +105,53 @@ def icosphere(refinement: int):
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], dtype=np.int64)
     for _ in range(refinement):
-        vlist = [v for v in verts]
-        cache = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = cache.get(key)
-            if idx is None:
-                m = vlist[i] + vlist[j]
-                m /= np.linalg.norm(m)
-                vlist.append(m)
-                idx = len(vlist) - 1
-                cache[key] = idx
-            return idx
-
-        new_faces = []
-        for (i, j, k) in faces:
-            a = midpoint(i, j)
-            b = midpoint(j, k)
-            c = midpoint(k, i)
-            new_faces += [[i, a, c], [j, b, a], [k, c, b], [a, b, c]]
-        verts = np.array(vlist)
-        faces = np.array(new_faces, dtype=np.int64)
+        # one new vertex per edge, numbered by the edge's first occurrence in
+        # the face-major sequence (i, j), (j, k), (k, i)
+        nv = len(verts)
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = edges.min(axis=1) * nv + edges.max(axis=1)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        i, j, k = faces.T
+        a, b, c = (nv + rank[inverse]).reshape(-1, 3).T
+        ends = edges[first[order]]
+        m = verts[ends[:, 0]] + verts[ends[:, 1]]
+        m /= np.sqrt(np.vecdot(m, m))[:, None]
+        verts = np.concatenate([verts, m])
+        faces = np.stack([i, a, c, j, b, a, k, c, b, a, b, c], axis=1).reshape(-1, 3)
     return verts, faces
+
+
+def _mirrors(verts, faces):
+    """(8, T) panel permutations: row g maps each face to the face that the
+    sign flip s_g takes it to.  Vertices are matched exactly by sorting, faces
+    by their sorted vertex-index triples; an inexact match raises."""
+    nv = len(verts)
+
+    def face_keys(f):
+        f = np.sort(f, axis=1)
+        return (f[:, 0] * nv + f[:, 1]) * nv + f[:, 2]
+
+    order = np.lexsort(verts.T)
+    keys = face_keys(faces)
+    face_order = np.argsort(keys)
+    sorted_keys = keys[face_order]
+    out = np.empty((8, len(faces)), dtype=np.int64)
+    for g, s in enumerate(_SIGNS):
+        image = verts * s + 0.0          # + 0.0 folds -0.0 into 0.0
+        image_order = np.lexsort(image.T)
+        if not np.array_equal(image[image_order], verts[order]):
+            raise NumericalError(f"mesh vertices are not symmetric under {s}")
+        vmap = np.empty(nv, dtype=np.int64)
+        vmap[image_order] = order
+        image_keys = face_keys(vmap[faces])
+        pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
+        if not np.array_equal(sorted_keys[pos], image_keys):
+            raise NumericalError(f"mesh faces are not symmetric under {s}")
+        out[g] = face_order[pos]
+    return out
 
 
 def _mesh_from_axes(axes, refinement: int) -> TriMesh:
@@ -130,7 +166,7 @@ def _mesh_from_axes(axes, refinement: int) -> TriMesh:
     flip = np.einsum("ij,ij->i", normals, centroids) < 0
     normals[flip] *= -1.0
     return TriMesh(vertices=verts, triangles=faces, centroids=centroids,
-                   areas=areas, normals=normals)
+                   areas=areas, normals=normals, mirrors=_mirrors(verts, faces))
 
 
 def mesh_ellipsoid(sys: EllipsoidSystem, refinement: int) -> TriMesh:
@@ -146,6 +182,30 @@ def mesh_sphere(radius: float, refinement: int) -> TriMesh:
 
 
 def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
+    """Collocation solve for sigma, split by the mesh's mirror group.
+
+    With m_g = ``mesh.mirrors[g]``, the matrix satisfies
+    A[m_g[i], m_g[j]] = A[i, j] for the eight sign flips g, and m_g m_h =
+    m_gh.  For each character chi of the group, the projection
+    (P_chi x)[i] = (1/8) sum_g chi(g) x[m_g[i]] commutes with A, so
+    A sigma_chi = b_chi with sigma_chi = P_chi sigma and b_chi = P_chi b, and
+    sigma is the sum of the eight sigma_chi.  A vector in the range of P_chi
+    obeys x[m_g[i]] = chi(g) x[i]: it is fixed by its values on one
+    representative panel per orbit, and it vanishes on a representative r
+    when chi(g) = -1 for some g in r's stabilizer {g : m_g[r] = r}.  Over
+    the representatives r, r' whose stabilizers chi is trivial on, write
+    sigma_chi[m_g[r']] = chi(g) |stab r'| y[r']; then row r of
+    A sigma_chi = b_chi reads
+
+        sum_r' B_chi[r, r'] y[r'] = b_chi[r],
+        B_chi[r, r'] = sum_g chi(g) A[r, m_g[r']],
+        b_chi[r] = (1/8) sum_g chi(g) b[m_g[r]],
+
+    and adding chi(g) y[r'] to sigma at m_g[r'] for every g puts
+    |stab r'| chi(g) y[r'] there.  So only the representatives' rows of A
+    are assembled, R x T entries (R = 664 at T = 5120), and eight blocks of
+    at most R rows are solved in place of one T x T system.
+    """
     e1, e2 = diel.eps1, diel.eps2
     if e1 == e2:
         return BemSolution(sigma=np.zeros(mesh.panel_count), energy_kcal=0.0,
@@ -154,14 +214,25 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
         raise SingularSystem("eps1 ~ eps2 makes the collocation system singular")
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
     diag = 2.0 * math.pi * (e1 + e2) / (e2 - e1)
-    A = assemble_influence_matrix(cen, nrm, area, diag)
     rhs = np.zeros(mesh.panel_count)
     for ch in charges:
         d = cen - np.asarray(ch.position)
         r = np.linalg.norm(d, axis=1)
         # normal derivative of q / (eps1 |r - r_k|) at the centroids
         rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
-    sigma = np.linalg.solve(A, rhs)
+    m = mesh.mirrors
+    reps = np.flatnonzero(m.min(axis=0) == np.arange(mesh.panel_count))
+    images = m[:, reps]                                   # (8, R)
+    A = assemble_influence_matrix(cen, nrm, area, diag, reps)
+    B = np.tensordot(_CHARACTERS, A[:, images], axes=([1], [1]))
+    b = _CHARACTERS @ rhs[images] / 8.0
+    # chi is trivial on r's stabilizer unless some g fixing r has chi(g) = -1
+    nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
+    sigma = np.zeros(mesh.panel_count)
+    for chi, Bc, bc, skip in zip(_CHARACTERS, B, b, nontrivial):
+        keep = np.flatnonzero(~skip)
+        y = np.linalg.solve(Bc[np.ix_(keep, keep)], bc[keep])
+        np.add.at(sigma, images[:, keep], chi[:, None] * y)
     energy = 0.0
     for ch in charges:
         r = np.linalg.norm(cen - np.asarray(ch.position), axis=1)
@@ -176,21 +247,22 @@ def _richardson(counts, energies):
     """Extrapolated zero-spacing limit of a first-order-ish sequence.
 
     With >= 4 levels, fit E_inf + C1 N^-p + C2 N^-2p by least squares over a
-    scan of p (the two-term model absorbs the pre-asymptotic curvature of the
-    coarsest levels); with exactly 3, use the classical three-point geometric
-    estimate from the last three levels.
+    scan of p and keep the fit with the least residual (the two-term model
+    absorbs the pre-asymptotic curvature of the coarsest levels); with
+    exactly 3, use the classical three-point geometric estimate from the last
+    three levels.
     """
     N = np.asarray(counts, dtype=float)
     E = np.asarray(energies, dtype=float)
     if len(N) >= 4:
-        best = None
-        for p in np.linspace(0.3, 1.5, 1201):
-            X = np.column_stack([np.ones(len(N)), N ** -p, N ** (-2 * p)])
-            coef, res, _, _ = np.linalg.lstsq(X, E, rcond=None)
-            r = float(res[0]) if len(res) else float(np.abs(X @ coef - E).max())
-            if best is None or r < best[0]:
-                best = (r, coef[0])
-        return float(best[1])
+        # residuals from one batched QR of the (1201, levels, 3) design
+        # matrices; the chosen fit is solved as a single least-squares problem
+        p = np.linspace(0.3, 1.5, 1201)[:, None]
+        X = np.stack([np.ones((len(p), len(N))), N ** -p, N ** (-2 * p)], axis=2)
+        Q = np.linalg.qr(X).Q
+        res = E - (Q @ (E @ Q)[:, :, None])[:, :, 0]
+        best = np.argmin(np.vecdot(res, res))
+        return float(np.linalg.lstsq(X[best], E, rcond=None)[0][0])
     d1 = E[-2] - E[-3]
     d2 = E[-1] - E[-2]
     ratio = N[-1] / N[-2]

@@ -110,8 +110,9 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     The result is round-trip verified against ``ell_to_cart`` to 1e-6
     absolute (the documented accuracy of the direct cubic-root transform);
     ``RoundTripFailure`` is raised when the verification fails, which happens
-    far from the ellipsoid where the cubic becomes ill-conditioned.  A
-    non-finite coordinate raises ``RangeViolation``.
+    far from the ellipsoid where the cubic becomes ill-conditioned, also when
+    the roots fall outside the coordinate ranges there.  A non-finite
+    coordinate raises ``RangeViolation``.
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
@@ -150,7 +151,12 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     lam = sl * math.sqrt(0.0 if lam2 < 0.0 else lam2)
     mu = sm * math.sqrt(0.0 if mu2 < 0.0 else mu2)
     nu = sn * math.sqrt(0.0 if nu2 < 0.0 else nu2)
-    xr, yr, zr = _cartesian(h2, k2, lam, mu, nu, sl, sm, sn)
+    try:
+        xr, yr, zr = _cartesian(h2, k2, lam, mu, nu, sl, sm, sn)
+    except RangeViolation:
+        # far out, the cubic's inaccurate roots leave the coordinate ranges
+        raise RoundTripFailure(f"round trip of {(x, y, z)} leaves the coordinate "
+                               "ranges") from None
     err = max(abs(xr - x), abs(yr - y), abs(zr - z))
     # from |r| ~ 1.4e154 on, x^2 is inf, every root nan and so is err
     if not err <= _ROUND_TRIP_TOL:

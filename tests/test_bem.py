@@ -3,12 +3,86 @@ import math
 import numpy as np
 import pytest
 
-from ellharm.bem import (_richardson, convergence_study, export_mesh, icosphere,
-                         mesh_ellipsoid, mesh_sphere, solve_bem)
+from ellharm._kernels import assemble_influence_matrix
+from ellharm.bem import (_SIGNS, _mirrors, _richardson, convergence_study, export_mesh,
+                         icosphere, mesh_ellipsoid, mesh_sphere, solve_bem)
+from ellharm.errors import NumericalError
 from ellharm.numerics import gauss_legendre
-from ellharm.solvation import DielectricModel, PointCharge, born_energy
+from ellharm.solvation import (KCAL_PER_E2_PER_ANGSTROM, DielectricModel, PointCharge,
+                               born_energy)
 
 WATER = DielectricModel(4.0, 80.0)
+
+
+def _icosphere_reference(refinement):
+    """The icosphere built one face and one edge midpoint at a time."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array([
+        [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+        [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+        [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+    ], dtype=float)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    faces = np.array([
+        [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
+        [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
+        [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
+        [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
+    ], dtype=np.int64)
+    for _ in range(refinement):
+        vlist = [v for v in verts]
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            idx = cache.get(key)
+            if idx is None:
+                m = vlist[i] + vlist[j]
+                m /= np.linalg.norm(m)
+                vlist.append(m)
+                idx = len(vlist) - 1
+                cache[key] = idx
+            return idx
+
+        new_faces = []
+        for (i, j, k) in faces:
+            a = midpoint(i, j)
+            b = midpoint(j, k)
+            c = midpoint(k, i)
+            new_faces += [[i, a, c], [j, b, a], [k, c, b], [a, b, c]]
+        verts = np.array(vlist)
+        faces = np.array(new_faces, dtype=np.int64)
+    return verts, faces
+
+
+def _solve_bem_dense(mesh, charges, diel):
+    """The collocation system solved as one dense T x T matrix: (sigma,
+    energy in kcal/mol)."""
+    e1, e2 = diel.eps1, diel.eps2
+    cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
+    diag = 2.0 * math.pi * (e1 + e2) / (e2 - e1)
+    A = assemble_influence_matrix(cen, nrm, area, diag, np.arange(mesh.panel_count))
+    rhs = np.zeros(mesh.panel_count)
+    for ch in charges:
+        d = cen - np.asarray(ch.position)
+        rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / np.linalg.norm(d, axis=1) ** 3
+    sigma = np.linalg.solve(A, rhs)
+    energy = sum(0.5 * ch.q * float(np.sum(sigma * area / np.linalg.norm(
+        cen - np.asarray(ch.position), axis=1))) for ch in charges)
+    return sigma, energy * KCAL_PER_E2_PER_ANGSTROM
+
+
+def _richardson_lstsq_reference(counts, energies):
+    """The >= 4-level Richardson scan with one least-squares solve per p."""
+    N = np.asarray(counts, dtype=float)
+    E = np.asarray(energies, dtype=float)
+    best = None
+    for p in np.linspace(0.3, 1.5, 1201):
+        X = np.column_stack([np.ones(len(N)), N ** -p, N ** (-2 * p)])
+        coef, res, _, _ = np.linalg.lstsq(X, E, rcond=None)
+        if best is None or res[0] < best[0]:
+            best = (res[0], coef[0])
+    return float(best[1])
 
 
 def test_icosphere_counts():
@@ -18,6 +92,57 @@ def test_icosphere_counts():
         # Euler characteristic of a sphere: V - E + F = 2, E = 3F/2
         assert len(verts) - 3 * len(faces) // 2 + len(faces) == 2
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-12)
+
+
+def test_icosphere_equals_loop_reference_bit_for_bit():
+    for ref in range(5):
+        verts, faces = icosphere(ref)
+        want_verts, want_faces = _icosphere_reference(ref)
+        assert np.array_equal(verts, want_verts)
+        assert np.array_equal(faces, want_faces)
+
+
+@pytest.mark.parametrize("refinement, orbits", [(0, 4), (2, 46), (4, 664)])
+def test_mirrors_map_panels_to_their_mirror_images(sys_fig3, refinement, orbits):
+    mesh = mesh_ellipsoid(sys_fig3, refinement)
+    T = mesh.panel_count
+    m = mesh.mirrors
+    assert m.shape == (8, T)
+    assert np.array_equal(m[0], np.arange(T))
+    scale = np.abs(mesh.centroids).max()
+    for g, s in enumerate(_SIGNS):
+        assert np.array_equal(np.sort(m[g]), np.arange(T))        # a permutation
+        assert np.array_equal(m[g][m[g]], np.arange(T))           # an involution
+        assert np.abs(mesh.centroids[m[g]] - s * mesh.centroids).max() <= 1e-12 * scale
+    assert np.count_nonzero(m.min(axis=0) == np.arange(T)) == orbits
+
+
+def test_mirrors_raise_on_an_inexact_match():
+    verts, faces = icosphere(1)
+    moved = verts.copy()
+    moved[5, 0] = np.nextafter(moved[5, 0], 2.0)
+    with pytest.raises(NumericalError, match="vertices"):
+        _mirrors(moved, faces)
+    faces = faces.copy()
+    faces[0] = [0, 1, 2]          # three vertices that bound no face
+    with pytest.raises(NumericalError, match="faces"):
+        _mirrors(verts, faces)
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["ellipsoid", "sphere"])
+def test_split_solve_matches_dense_reference(sys_fig3, shape, refinement):
+    if shape == "ellipsoid":
+        mesh = mesh_ellipsoid(sys_fig3, refinement)
+        charges = [PointCharge(3.0, 4.0, 5.0, 1.0), PointCharge(-6.0, 2.0, -1.5, -0.7),
+                   PointCharge(0.0, -3.0, 0.0, 0.4)]
+    else:
+        mesh = mesh_sphere(2.0, refinement)
+        charges = [PointCharge(0.3, -0.5, 0.8, 1.0), PointCharge(-0.9, 0.0, 0.2, 0.5)]
+    sol = solve_bem(mesh, charges, WATER)
+    sigma, energy = _solve_bem_dense(mesh, charges, WATER)
+    assert np.abs(sol.sigma - sigma).max() <= 1e-13 * np.abs(sigma).max()
+    assert abs(sol.energy_kcal - energy) <= 1e-13 * abs(energy)
 
 
 def test_sphere_mesh_geometry():
@@ -104,6 +229,19 @@ def test_richardson_from_three_levels():
                               [PointCharge(0, 0, 0, 1.0)], WATER,
                               refinements=[1, 2, 3], reference=exact)
     assert abs(study.richardson_limit - exact) <= 0.01 * abs(exact)
+
+
+def test_richardson_equals_lstsq_scan_reference():
+    rng = np.random.default_rng(16)
+    for levels in (4, 5):
+        counts = [80 * 4 ** i for i in range(levels)]
+        for _ in range(50):
+            e_inf, c1, c2 = rng.uniform(-100, -1), rng.uniform(-50, 50), rng.uniform(-200, 200)
+            p = rng.uniform(0.5, 1.3)
+            energies = [e_inf + c1 * n ** -p + c2 * n ** (-2 * p) + 1e-3 * rng.normal()
+                        for n in counts]
+            want = _richardson_lstsq_reference(counts, energies)
+            assert abs(_richardson(counts, energies) - want) <= 1e-13 * abs(want)
 
 
 def test_convergence_study_needs_three_levels(sys215):

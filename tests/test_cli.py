@@ -202,6 +202,8 @@ def test_gamma_quad_order_is_no_option_exits_2_before_any_rule(monkeypatch):
     (["--semiaxes", "2,1.5,1", "transform", "--points", "1e160,0,0"], 3, "RoundTripFailure"),
     (["--semiaxes", "1,3e-12,1e-12", "transform", "--points", "0.5,1e-12,1e-12"],
      2, "DegenerateEllipsoid"),
+    # roots that leave the coordinate ranges in the round trip
+    (["--semiaxes", "15,12,10", "transform", "--points", "5e25,1,1"], 3, "RoundTripFailure"),
 ])
 def test_far_point_or_cancelling_semiaxes_exit_with_a_json_error(capsys, args, code, error):
     assert main(args) == code

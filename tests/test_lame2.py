@@ -5,8 +5,9 @@ import pytest
 from scipy.special import ellip_harm_2
 
 from conftest import second_kind_reference
+from ellharm.coords import new_system
 from ellharm.errors import SingularLowerLimit
-from ellharm.lame1 import lame_function
+from ellharm.lame1 import eval_lame, lame_function
 from ellharm.lame2 import eval_F, eval_I, surface_I
 
 # composite-midpoint brute-force value of the n=0 integral at lambda=2 on
@@ -127,3 +128,26 @@ def test_eval_F_equals_per_function_reference(sys215):
                 _, _, F, dF, I, dI = second_kind_reference(f, lam)
                 assert (r.F_value, r.dF_dlambda, r.I_value, r.dI_dlambda) == (F, dF, I, dI), \
                     (lam, n, p)
+
+
+@pytest.mark.parametrize("axes", [(15.0, 12.0, 10.0), (2.0, 1.5, 1.0), (10.0, 3.0, 1.0)])
+def test_I_for_n_up_to_1_equals_carlson_closed_forms(axes):
+    # I_0^1 = R_F(x, y, z) and each n = 1 integral is R_D(., ., E(lambda)^2)/3,
+    # with x, y, z = lambda^2, lambda^2 - h^2, lambda^2 - k^2.  Measured worst
+    # relative errors: 5.7e-15 for lambda >= 1.003k, 9.0e-13 at 1.00003k (the
+    # class-M integral); the bounds below leave a margin over those
+    mpmath = pytest.importorskip("mpmath")
+    sys = new_system(*axes)
+    with mpmath.workdps(30):
+        for lam, tol in ((sys.a, 5e-14), (1.003 * sys.k, 5e-14),
+                         (1.00003 * sys.k, 2e-12), (4.0 * sys.a, 5e-14)):
+            L, h, k = mpmath.mpf(lam), mpmath.mpf(sys.h), mpmath.mpf(sys.k)
+            xyz = [L ** 2, L ** 2 - h ** 2, L ** 2 - k ** 2]
+            want = mpmath.elliprf(*xyz)
+            assert abs(eval_I(lame_function(sys, 0, 1), lam) - want) <= tol * want, lam
+            for p in (1, 2, 3):
+                f = lame_function(sys, 1, p)
+                e2 = float(eval_lame(f, lam)) ** 2
+                last = min(range(3), key=lambda i: abs(xyz[i] - e2))
+                want = mpmath.elliprd(*(xyz[:last] + xyz[last + 1:] + [xyz[last]])) / 3
+                assert abs(eval_I(f, lam) - want) <= tol * want, (lam, p)
