@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import EllipsoidSystem
-from .errors import NumericalError, SingularSystem
+from .errors import NumericalError
 from .solvation import DielectricModel, KCAL_PER_E2_PER_ANGSTROM
 from ._kernels import assemble_influence_matrix
 
@@ -210,8 +210,6 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
     if e1 == e2:
         return BemSolution(sigma=np.zeros(mesh.panel_count), energy_kcal=0.0,
                            panel_count=mesh.panel_count, induced_charge=0.0)
-    if abs(e2 - e1) < 1e-14 * max(e1, e2):
-        raise SingularSystem("eps1 ~ eps2 makes the collocation system singular")
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
     diag = 2.0 * math.pi * (e1 + e2) / (e2 - e1)
     rhs = np.zeros(mesh.panel_count)

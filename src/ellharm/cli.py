@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys as _sys
@@ -134,13 +135,9 @@ def cmd_transform(args):
         n = args.brick
         # n^3 points per octant strictly inside each octant's valid box
         base = np.linspace(0.15, 0.85, n)
-        for sx in (1, -1):
-            for sy in (1, -1):
-                for sz in (1, -1):
-                    for x in base * sys.a * 0.9:
-                        for y in base * sys.b * 0.9:
-                            for z in base * sys.c * 0.9:
-                                pts.append((sx * x, sy * y, sz * z))
+        signs = (1, -1)
+        pts = [(sx * x, sy * y, sz * z) for sx, sy, sz, x, y, z in itertools.product(
+            signs, signs, signs, base * sys.a * 0.9, base * sys.b * 0.9, base * sys.c * 0.9)]
     elif args.points:
         for chunk in args.points.split(";"):
             pts.append(_parse_triple(chunk, "--points entry"))

@@ -78,6 +78,8 @@ def new_system(a: float, b: float, c: float) -> EllipsoidSystem:
             f"near-degenerate semiaxes {(a, b, c)}: spheroid/sphere limits unsupported")
     h = math.sqrt(a * a - b * b)
     k = math.sqrt(a * a - c * c)
+    if not (math.isfinite(h) and math.isfinite(k)):
+        raise DegenerateEllipsoid(f"semiaxes {(a, b, c)}: their squares overflow")
     # the reverse map divides by k^2 - h^2, which cancels when b, c << a
     if k * k - h * h <= 1e-12 * (k * k):
         raise DegenerateEllipsoid(

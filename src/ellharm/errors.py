@@ -70,4 +70,4 @@ class ResonantDenominator(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """The boundary-element system is singular (e.g. eps1 == eps2)."""
+    """The boundary-element system is singular."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from .coords import EllipsoidSystem
 from .errors import BranchPointDerivative, OrderOutOfRange
-from .numerics import TridiagonalSpec, solve_tridiagonal
+from .numerics import solve_tridiagonal
 
 __all__ = [
     "LameClass",
@@ -92,9 +92,10 @@ def psi_exponents(tag: str, n: int):
     return (n + e_h + e_k) % 2, e_h, e_k
 
 
-def build_tridiagonal(sys: EllipsoidSystem, cls: LameClass) -> TridiagonalSpec:
-    """Tridiagonal matrix whose eigenvalues are the admissible separation
-    constants of degree ``cls.n`` in class ``cls.tag``.
+def build_tridiagonal(sys: EllipsoidSystem, cls: LameClass):
+    """The (diag, lower, upper) arrays of the tridiagonal matrix whose
+    eigenvalues are the admissible separation constants of degree ``cls.n``
+    in class ``cls.tag``.
 
     Acting on the basis psi * t^j, the Lame operator maps basis element j to
     A_j t^(j-1) + B_j t^j + C_j t^(j+1); the matrix below is the negative of
@@ -124,7 +125,7 @@ def build_tridiagonal(sys: EllipsoidSystem, cls: LameClass) -> TridiagonalSpec:
     A = 2 * j * (2 * j - 1 + 2 * e_h) * (k2 - h2)
     B = h2 * (u * u + w * w - q) - k2 * u * u
     C = h2 * (q - v * (v + 1))
-    return TridiagonalSpec(diag=-B, lower=-C[:-1], upper=-A[1:])
+    return -B, -C[:-1], -A[1:]
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,12 @@ def _class_functions(sys: EllipsoidSystem, n: int, tag: str) -> list:
     m = class_dim(tag, n)
     if m == 0:
         return []
-    pairs = solve_tridiagonal(build_tridiagonal(sys, LameClass(tag, n, 0)))
+    values, vectors = solve_tridiagonal(*build_tridiagonal(sys, LameClass(tag, n, 0)))
     # normalize so the coefficient of s^n in psi * P equals 1: the top basis
     # element contributes b_{m-1} * (-1/h^2)^{m-1} * s^{2(m-1)} * psi
-    b = pairs.vectors * ((-sys.h2) ** (m - 1) / pairs.vectors[m - 1])
+    b = vectors * ((-sys.h2) ** (m - 1) / vectors[m - 1])
     return [LameFunction(system=sys, cls=LameClass(tag, n, j), coeffs=b[:, j].copy(),
-                         separation_constant=float(pairs.values[j])) for j in range(m)]
+                         separation_constant=float(values[j])) for j in range(m)]
 
 
 def lame_function(sys: EllipsoidSystem, n: int, p: int) -> LameFunction:

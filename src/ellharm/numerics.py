@@ -1,13 +1,12 @@
 """Numerical primitives: tridiagonal eigensolves, adaptive quadrature,
 Gauss-Legendre rules.
 
-These are deliberately generic -- nothing in this module knows about
-ellipsoids, and they need only numpy.  The tridiagonal solver handles the
-mildly non-symmetric matrices produced by three-term recurrences by
-diagonal symmetrization and a dense ``numpy.linalg.eigh``; the adaptive
-integrator is a 7-15 Gauss-Kronrod pair with bisection refinement and a
-global error budget, including a built-in substitution for semi-infinite
-intervals.  Gauss-Legendre rules are computed once per order.
+Nothing in this module knows about ellipsoids, and it needs only numpy.
+Tridiagonal matrices from three-term recurrences are symmetrized by a
+diagonal scaling and solved by a dense ``numpy.linalg.eigh``; the adaptive
+integrator is a 7-15 Gauss-Kronrod pair with bisection refinement, a global
+error budget and a substitution for semi-infinite intervals.  Gauss-Legendre
+rules are computed once per order.
 """
 
 from __future__ import annotations
@@ -15,15 +14,13 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonSymmetrizable
 
 __all__ = [
-    "TridiagonalSpec",
-    "EigenPairs",
     "QuadratureResult",
     "solve_tridiagonal",
     "adaptive_quad",
@@ -35,69 +32,33 @@ __all__ = [
 # tridiagonal eigenproblem
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TridiagonalSpec:
-    """A real tridiagonal matrix T with diag d, subdiagonal f, superdiagonal g.
-
-    T[i, i] = diag[i]; T[i+1, i] = lower[i]; T[i, i+1] = upper[i].
+def solve_tridiagonal(diag, lower, upper):
+    """Ascending eigenvalues and unit-norm right eigenvectors (column i pairs
+    with value i) of T with T[i, i] = diag[i], T[i+1, i] = lower[i] and
+    T[i, i+1] = upper[i].  A non-finite entry, or a product lower[i]*upper[i]
+    that overflows, raises ``ValueError``, a product <= 0 ``NonSymmetrizable``;
+    else T is similar, by a diagonal scaling D, to a symmetric matrix, which
+    ``numpy.linalg.eigh`` solves densely; T's eigenvectors are D @ w.
     """
-
-    diag: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        m = len(self.diag)
-        if len(self.lower) != m - 1 or len(self.upper) != m - 1:
-            raise ValueError("lower/upper must have length len(diag) - 1")
-        for arr in (self.diag, self.lower, self.upper):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite matrix entry")
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-    def dense(self) -> np.ndarray:
-        T = np.diag(self.diag)
-        if self.dim > 1:
-            T += np.diag(self.lower, -1) + np.diag(self.upper, 1)
-        return T
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigenvalues (ascending) and unit-norm right eigenvectors (columns) of
-    the original, possibly non-symmetric, tridiagonal matrix."""
-
-    values: np.ndarray
-    vectors: np.ndarray  # shape (dim, dim), column i pairs with values[i]
-
-
-def solve_tridiagonal(spec: TridiagonalSpec) -> EigenPairs:
-    """Eigendecomposition of a tridiagonal matrix whose off-diagonal products
-    lower[i]*upper[i] are all positive.
-
-    Such a matrix is similar to a symmetric tridiagonal one via a diagonal
-    scaling D, and the symmetric problem is solved densely with
-    ``numpy.linalg.eigh``; the eigenvectors of the original matrix are
-    recovered as D @ w.  Any other matrix raises ``NonSymmetrizable``.
-    """
-    prod = spec.lower * spec.upper
+    diag, lower, upper = (np.asarray(x, dtype=float) for x in (diag, lower, upper))
+    if not all(np.all(np.isfinite(x)) for x in (diag, lower, upper)):
+        raise ValueError("non-finite matrix entry")
+    prod = lower * upper
     if not np.all(prod > 0):
         raise NonSymmetrizable("an off-diagonal product lower*upper is <= 0")
     # off-diagonal of the symmetrized matrix; the sign matters for
     # eigenvector recovery, not for the spectrum
-    off = np.sign(spec.lower) * np.sqrt(prod)
-    vals, w = np.linalg.eigh(TridiagonalSpec(spec.diag, off, off).dense())
+    off = np.sign(lower) * np.sqrt(prod)
+    if not np.all(np.isfinite(off)):
+        raise ValueError("non-finite matrix entry")
+    T = np.diag(diag)
+    if len(diag) > 1:
+        T += np.diag(off, -1) + np.diag(off, 1)
+    vals, w = np.linalg.eigh(T)
     # D[i] / D[i-1] = sqrt(lower[i-1] / upper[i-1])
-    D = np.cumprod(np.concatenate(([1.0], np.sqrt(spec.lower / spec.upper))))
+    D = np.cumprod(np.concatenate(([1.0], np.sqrt(lower / upper))))
     vecs = D[:, None] * w
-    vecs /= np.linalg.norm(vecs, axis=0)[None, :]
-    return EigenPairs(values=vals, vectors=vecs)
+    return vals, vecs / np.linalg.norm(vecs, axis=0)[None, :]
 
 
 # ----------------------------------------------------------------------
@@ -133,8 +94,8 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool = True
-    subdivisions: int = field(default=1)
+    converged: bool
+    subdivisions: int
 
 
 def _gk15(f, lo, hi):

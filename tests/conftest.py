@@ -109,12 +109,11 @@ def lame_reference(sys, n, p):
     """(coefficients, separation constant) of E_n^p from a solve of its class
     matrix of its own, with only its column normalized."""
     cls = class_of(n, p)
-    spec = build_tridiagonal(sys, cls)
-    pairs = solve_tridiagonal(spec)
-    m = spec.dim
-    b = pairs.vectors[:, cls.p_local].copy()
+    values, vectors = solve_tridiagonal(*build_tridiagonal(sys, cls))
+    m = len(values)
+    b = vectors[:, cls.p_local].copy()
     b *= (-sys.h2) ** (m - 1) / b[m - 1]
-    return b, float(pairs.values[cls.p_local])
+    return b, float(values[cls.p_local])
 
 
 def second_kind_reference(f, lam):

@@ -9,7 +9,7 @@ from ellharm.bem import (_SIGNS, _mirrors, _richardson, convergence_study, expor
 from ellharm.errors import NumericalError
 from ellharm.numerics import gauss_legendre
 from ellharm.solvation import (KCAL_PER_E2_PER_ANGSTROM, DielectricModel, PointCharge,
-                               born_energy)
+                               born_energy, solvation_energy)
 
 WATER = DielectricModel(4.0, 80.0)
 
@@ -186,6 +186,26 @@ def test_equal_permittivities_zero_energy(sys215):
     sol = solve_bem(mesh, [PointCharge(0, 0, 0, 1.0)], diel)
     assert sol.energy_kcal == 0.0
     assert np.all(sol.sigma == 0.0)
+
+
+@pytest.mark.parametrize("eps2", [4.0 + 1e-14, np.nextafter(4.0, 5.0)])
+def test_near_equal_permittivities_match_semi_analytic(sys_fig3, eps2):
+    # the diagonal 2 pi (eps1 + eps2) / (eps2 - eps1) grows as eps2 -> eps1,
+    # so the system gets more diagonally dominant, not singular.  At 320
+    # panels the energy is 4.0% off the semi-analytic one (measured
+    # 0.0401), the discretization error that eps2 = 4 (1 + 1e-6) shows too
+    # (the two deviations differ by 2.8e-8)
+    charges = [PointCharge(3.0, -2.0, 1.5, 1.0), PointCharge(-4.0, 1.0, -2.0, -0.5)]
+    mesh = mesh_ellipsoid(sys_fig3, 2)
+
+    def deviation(diel):
+        energy = solve_bem(mesh, charges, diel).energy_kcal
+        assert math.isfinite(energy) and energy < 0.0
+        return energy / solvation_energy(sys_fig3, charges, diel).energy_kcal - 1.0
+
+    near = deviation(DielectricModel(4.0, eps2))
+    assert abs(near) <= 0.05
+    assert abs(near - deviation(DielectricModel(4.0, 4.0 * (1.0 + 1e-6)))) <= 1e-7
 
 
 def test_sphere_approaches_born():

@@ -204,6 +204,9 @@ def test_gamma_quad_order_is_no_option_exits_2_before_any_rule(monkeypatch):
      2, "DegenerateEllipsoid"),
     # roots that leave the coordinate ranges in the round trip
     (["--semiaxes", "15,12,10", "transform", "--points", "5e25,1,1"], 3, "RoundTripFailure"),
+    # semiaxes whose squares overflow
+    (["--semiaxes", "1e200,5e199,1e199", "transform", "--points", "1,1,1"],
+     2, "DegenerateEllipsoid"),
 ])
 def test_far_point_or_cancelling_semiaxes_exit_with_a_json_error(capsys, args, code, error):
     assert main(args) == code

@@ -25,7 +25,9 @@ def test_new_system_semifocals(sys215, sys_fig3):
 @pytest.mark.parametrize("axes", [(1, 1, 1), (2, 2, 1), (2, 1.5, 1.5),
                                   (1, 1.5, 2), (2, 1.5, 0), (2, 1.5, -1),
                                   # k^2 - h^2 = b^2 - c^2 cancels against k^2
-                                  (1, 3e-12, 1e-12), (1, 0.01 + 1.5e-12, 0.01)])
+                                  (1, 3e-12, 1e-12), (1, 0.01 + 1.5e-12, 0.01),
+                                  # a^2 overflows, so h and k are nan
+                                  (1e200, 5e199, 1e199)])
 def test_new_system_rejects_degenerate(axes):
     with pytest.raises(DegenerateEllipsoid):
         new_system(*axes)

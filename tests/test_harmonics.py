@@ -347,9 +347,9 @@ def _mp_lame_poly(mp, sys, n, p, s_values):
     """P(t(s)) from a working-precision solution of the same tridiagonal
     eigenproblem, normalized as in ``lame_function``."""
     cls = class_of(n, p)
-    spec = build_tridiagonal(sys, cls)
-    m = spec.dim
-    A = mp.matrix(spec.dense().tolist())
+    diag, lower, upper = build_tridiagonal(sys, cls)
+    m = len(diag)
+    A = mp.matrix((np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)).tolist())
     vals, vecs = mp.eig(A)
     j = sorted(range(m), key=lambda i: mp.re(vals[i]))[cls.p_local]
     b = [mp.re(vecs[i, j]) for i in range(m)]

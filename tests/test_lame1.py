@@ -74,10 +74,9 @@ def test_degree2_closed_forms(sys215):
 
 
 def test_tridiagonal_shapes(sys215):
-    assert build_tridiagonal(sys215, class_of(0, 1)).dim == 1
-    assert build_tridiagonal(sys215, class_of(1, 1)).dim == 1
-    spec = build_tridiagonal(sys215, class_of(2, 1))
-    assert spec.dim == 2
+    for n, dim in ((0, 1), (1, 1), (2, 2)):
+        diag, lower, upper = build_tridiagonal(sys215, class_of(n, 1))
+        assert (len(diag), len(lower), len(upper)) == (dim, dim - 1, dim - 1)
     # two distinct real separation constants
     f1 = lame_function(sys215, 2, 1)
     f2 = lame_function(sys215, 2, 2)
@@ -91,8 +90,8 @@ def test_tridiagonal_off_diagonal_products_positive(sys215):
         for n in range(21):
             for tag in "KLMN":
                 if class_dim(tag, n):
-                    spec = build_tridiagonal(sys, LameClass(tag, n, 0))
-                    assert np.all(spec.lower * spec.upper > 0), (sys.key(), n, tag)
+                    _, lower, upper = build_tridiagonal(sys, LameClass(tag, n, 0))
+                    assert np.all(lower * upper > 0), (sys.key(), n, tag)
 
 
 def test_lame_equation_residuals(sys215):

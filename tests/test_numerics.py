@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from ellharm.errors import NonSymmetrizable
-from ellharm.numerics import (TridiagonalSpec, adaptive_quad, gauss_legendre,
-                              solve_tridiagonal)
+from ellharm.numerics import adaptive_quad, gauss_legendre, solve_tridiagonal
 
 
 def test_tridiagonal_1x1():
-    res = solve_tridiagonal(TridiagonalSpec(diag=[5.0], lower=[], upper=[]))
-    assert res.values[0] == 5.0
-    assert res.vectors[0, 0] == 1.0
+    values, vectors = solve_tridiagonal([5.0], [], [])
+    assert values[0] == 5.0
+    assert vectors[0, 0] == 1.0
 
 
 def test_tridiagonal_2x2_flip():
-    res = solve_tridiagonal(TridiagonalSpec(diag=[0.0, 0.0], lower=[1.0], upper=[1.0]))
-    np.testing.assert_allclose(res.values, [-1.0, 1.0], atol=1e-14)
+    values, _ = solve_tridiagonal([0.0, 0.0], [1.0], [1.0])
+    np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
 
 
 def test_tridiagonal_eigen_residual_and_ordering():
@@ -29,22 +28,32 @@ def test_tridiagonal_eigen_residual_and_ordering():
         sign = rng.choice((-1.0, 1.0), size=m - 1)
         lower = sign * rng.uniform(0.5, 2.0, size=m - 1)
         upper = sign * rng.uniform(0.5, 2.0, size=m - 1)
-        spec = TridiagonalSpec(diag=diag, lower=lower, upper=upper)
-        res = solve_tridiagonal(spec)
-        T = spec.dense()
+        values, vectors = solve_tridiagonal(diag, lower, upper)
+        T = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         scale = np.max(np.abs(T))
-        assert len(res.values) == m
-        assert np.all(np.diff(res.values) > 0)
+        assert len(values) == m
+        assert np.all(np.diff(values) > 0)
         for i in range(m):
-            v = res.vectors[:, i]
-            assert np.linalg.norm(T @ v - res.values[i] * v, np.inf) <= 1e-12 * scale
+            v = vectors[:, i]
+            assert np.linalg.norm(T @ v - values[i] * v, np.inf) <= 1e-12 * scale
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_tridiagonal_complex_spectrum_raises():
-    spec = TridiagonalSpec(diag=[0.0, 0.0], lower=[-1.0], upper=[1.0])
     with pytest.raises(NonSymmetrizable):
-        solve_tridiagonal(spec)
+        solve_tridiagonal([0.0, 0.0], [-1.0], [1.0])
+
+
+@pytest.mark.parametrize("diag, lower, upper", [
+    ([np.nan, 0.0], [1.0], [1.0]),
+    ([0.0, 0.0], [np.inf], [1.0]),
+    ([0.0, 0.0], [1.0], [-np.inf]),
+    # finite entries whose product, the symmetrized entry squared, overflows
+    ([0.0, 0.0], [1e200], [1e200]),
+])
+def test_tridiagonal_non_finite_entry_raises(diag, lower, upper):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite matrix entry"):
+        solve_tridiagonal(diag, lower, upper)
 
 
 def test_quad_constant():
