@@ -1,9 +1,11 @@
 """Hot kernel for the boundary-element oracle.
 
-The influence-matrix assembly dominates the BEM runtime and memory traffic.
-The solve needs only the rows of one panel per mirror orbit (see
-``bem.solve_bem``), so the kernel builds the rows it is given, R x N entries,
-processed in row blocks to avoid R x N x 3 temporaries.
+The influence-matrix assembly dominates the cost of building a mesh's BEM
+operator.  It is paid once per mesh and permittivity pair: ``bem.solve_bem``
+keeps the factored operator on the mesh, so later charge sets on that mesh
+assemble nothing.  The solve needs only the rows of one panel per mirror
+orbit, so the kernel builds the rows it is given, R x N entries, processed
+in row blocks to avoid R x N x 3 temporaries.
 """
 
 from __future__ import annotations

@@ -13,24 +13,27 @@ interaction of the charges with the induced charge:
 
     E = (1/2) sum_k q_k sum_i sigma_i A_i / |r_k - c_i|.
 
-Everything is deliberately simple (flat panels, centroid rule, direct
-solve) -- this module is an independent numerical cross-check, not a
-production solver, and its convergence is first order in panel count.  The
-one shortcut is exact: the mesh is invariant under the eight coordinate sign
-flips, so the collocation matrix commutes with eight panel permutations and
-``solve_bem`` splits it into eight dense blocks, one per character of that
-group, from the matrix rows of one panel per orbit.
+Everything is deliberately simple (flat panels, centroid rule, dense
+blocks inverted directly) -- this module is an independent numerical
+cross-check, not a production solver, and its convergence is first order in
+panel count.  The one shortcut is exact: the mesh is invariant under the
+eight coordinate sign flips, so the collocation matrix commutes with eight
+panel permutations and ``solve_bem`` splits it into eight dense blocks, one
+per character of that group, from the matrix rows of one panel per orbit.
+The blocks depend only on the mesh and the permittivities, so their inverses
+are computed once and kept on the mesh: every further charge set solved on
+it costs a right-hand side and eight matrix-vector products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coords import EllipsoidSystem
-from .errors import NumericalError
+from .errors import NumericalError, SingularSystem
 from .solvation import DielectricModel, KCAL_PER_E2_PER_ANGSTROM
 from ._kernels import assemble_influence_matrix
 
@@ -54,6 +57,9 @@ class TriMesh:
     areas: np.ndarray       # (T,)
     normals: np.ndarray     # (T, 3) outward unit normals
     mirrors: np.ndarray     # (8, T) int: row g maps each panel to its image under s_g
+    # solve_bem's factored operator for one diagonal value (see _factored);
+    # the arrays above are treated as immutable once a solve has used them
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def panel_count(self) -> int:
@@ -181,6 +187,40 @@ def mesh_sphere(radius: float, refinement: int) -> TriMesh:
     return _mesh_from_axes((radius, radius, radius), refinement)
 
 
+def _factored(mesh: TriMesh, diag: float):
+    """The mesh's split collocation operator for the diagonal value ``diag``:
+    ``(images, inverses, scatter)``, where ``images`` is the (8, R) array of
+    each orbit representative's mirror images, ``inverses`` holds for each
+    character chi the pair (keep, inverse of B_chi[keep, keep]) of
+    ``solve_bem``'s derivation, and ``scatter`` lists the panels
+    ``images[:, keep]`` of all eight characters in turn.  Built on first use
+    and kept on the mesh for the last ``diag`` it was asked for."""
+    cached = mesh._factors.get(diag)
+    if cached is not None:
+        return cached
+    m = mesh.mirrors
+    reps = np.flatnonzero(m.min(axis=0) == np.arange(mesh.panel_count))
+    images = m[:, reps]                                   # (8, R)
+    A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, diag, reps)
+    A = A[:, images]                                      # (R, 8, R)
+    B = np.tensordot(_CHARACTERS, A, axes=([1], [1]))
+    del A
+    # chi is trivial on r's stabilizer unless some g fixing r has chi(g) = -1
+    nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
+    inverses = []
+    for chi, Bc, skip in zip(_CHARACTERS, B, nontrivial):
+        keep = np.flatnonzero(~skip)
+        try:
+            inverses.append((keep, np.linalg.inv(Bc[np.ix_(keep, keep)])))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"the collocation block of character {chi.tolist()} "
+                                 f"is singular at {mesh.panel_count} panels") from exc
+    scatter = np.concatenate([images[:, keep].ravel() for keep, _ in inverses])
+    mesh._factors.clear()
+    mesh._factors[diag] = images, inverses, scatter
+    return images, inverses, scatter
+
+
 def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
     """Collocation solve for sigma, split by the mesh's mirror group.
 
@@ -205,32 +245,32 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
     |stab r'| chi(g) y[r'] there.  So only the representatives' rows of A
     are assembled, R x T entries (R = 664 at T = 5120), and eight blocks of
     at most R rows are solved in place of one T x T system.
+
+    The blocks depend on the mesh and on the diagonal value
+    2 pi (eps1 + eps2)/(eps2 - eps1) alone, not on the charges.  So the
+    first solve inverts them and keeps the inverses on the mesh, for one
+    diagonal value at a time (~26 MB at 5120 panels); every solve, the first
+    included, then applies them: one right-hand side, eight matrix-vector
+    products, one scatter and the energy sum.  Results do not depend on what
+    the mesh holds.  A singular block raises ``SingularSystem``.
     """
     e1, e2 = diel.eps1, diel.eps2
     if e1 == e2:
         return BemSolution(sigma=np.zeros(mesh.panel_count), energy_kcal=0.0,
                            panel_count=mesh.panel_count, induced_charge=0.0)
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
-    diag = 2.0 * math.pi * (e1 + e2) / (e2 - e1)
+    images, inverses, scatter = _factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
     rhs = np.zeros(mesh.panel_count)
     for ch in charges:
         d = cen - np.asarray(ch.position)
         r = np.linalg.norm(d, axis=1)
         # normal derivative of q / (eps1 |r - r_k|) at the centroids
         rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
-    m = mesh.mirrors
-    reps = np.flatnonzero(m.min(axis=0) == np.arange(mesh.panel_count))
-    images = m[:, reps]                                   # (8, R)
-    A = assemble_influence_matrix(cen, nrm, area, diag, reps)
-    B = np.tensordot(_CHARACTERS, A[:, images], axes=([1], [1]))
     b = _CHARACTERS @ rhs[images] / 8.0
-    # chi is trivial on r's stabilizer unless some g fixing r has chi(g) = -1
-    nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
-    sigma = np.zeros(mesh.panel_count)
-    for chi, Bc, bc, skip in zip(_CHARACTERS, B, b, nontrivial):
-        keep = np.flatnonzero(~skip)
-        y = np.linalg.solve(Bc[np.ix_(keep, keep)], bc[keep])
-        np.add.at(sigma, images[:, keep], chi[:, None] * y)
+    # chi(g) y[r'] for every character, in the order of ``scatter``
+    weights = np.concatenate([(chi[:, None] * (inv @ bc[keep])).ravel()
+                              for chi, bc, (keep, inv) in zip(_CHARACTERS, b, inverses)])
+    sigma = np.bincount(scatter, weights=weights, minlength=mesh.panel_count)
     energy = 0.0
     for ch in charges:
         r = np.linalg.norm(cen - np.asarray(ch.position), axis=1)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ellharm import bem
 from ellharm._kernels import assemble_influence_matrix
-from ellharm.bem import (_SIGNS, _mirrors, _richardson, convergence_study, export_mesh,
-                         icosphere, mesh_ellipsoid, mesh_sphere, solve_bem)
-from ellharm.errors import NumericalError
+from ellharm.bem import (_SIGNS, TriMesh, _mirrors, _richardson, convergence_study,
+                         export_mesh, icosphere, mesh_ellipsoid, mesh_sphere, solve_bem)
+from ellharm.errors import NumericalError, SingularSystem
 from ellharm.numerics import gauss_legendre
 from ellharm.solvation import (KCAL_PER_E2_PER_ANGSTROM, DielectricModel, PointCharge,
                                born_energy, solvation_energy)
@@ -279,13 +280,54 @@ def test_convergence_study_needs_increasing_panel_counts(sys215, refinements):
                           reference=-1.0)
 
 
-def test_solution_deterministic(sys215):
+def test_solution_deterministic(sys215, monkeypatch):
+    # the factored operator kept on the mesh changes no bit: a cold solve, a
+    # warm one, one on a fresh mesh and one after switching the
+    # permittivities away and back all agree, and a warm solve assembles
+    # nothing
+    calls = []
+    assemble = bem.assemble_influence_matrix
+    monkeypatch.setattr(bem, "assemble_influence_matrix",
+                        lambda *args: calls.append(args[3]) or assemble(*args))
     mesh = mesh_ellipsoid(sys215, 2)
-    charges = [PointCharge(0.3, -0.2, 0.1, 1.0)]
+    charges = [PointCharge(0.3, -0.2, 0.1, 1.0), PointCharge(-0.5, 0.4, 0.2, -0.6)]
     s1 = solve_bem(mesh, charges, WATER)
     s2 = solve_bem(mesh, charges, WATER)
-    assert s1.energy_kcal == s2.energy_kcal
-    assert np.array_equal(s1.sigma, s2.sigma)
+    assert len(calls) == 1
+    fresh = solve_bem(mesh_ellipsoid(sys215, 2), charges, WATER)
+    other = solve_bem(mesh, charges, DielectricModel(2.0, 80.0))
+    assert len(mesh._factors) == 1
+    back = solve_bem(mesh, charges, WATER)
+    assert len(mesh._factors) == 1 and len(calls) == 4
+    assert other.energy_kcal != s1.energy_kcal
+    for s in (s2, fresh, back):
+        assert s1.energy_kcal == s.energy_kcal
+        assert s1.induced_charge == s.induced_charge
+        assert np.array_equal(s1.sigma, s.sigma)
+
+
+def test_mesh_built_by_hand_solves_and_compares_without_its_cache(sys215):
+    mesh = mesh_ellipsoid(sys215, 1)
+    twin = TriMesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                   centroids=mesh.centroids, areas=mesh.areas, normals=mesh.normals,
+                   mirrors=mesh.mirrors)
+    charges = [PointCharge(0.2, 0.1, -0.3, 1.0)]
+    got = solve_bem(twin, charges, WATER)
+    assert np.array_equal(got.sigma, solve_bem(mesh_ellipsoid(sys215, 1), charges,
+                                               WATER).sigma)
+    assert twin._factors and not mesh._factors
+    assert twin == mesh and mesh == twin
+    assert "_factors" not in repr(twin)
+
+
+def test_singular_block_raises_singular_system(sys215, monkeypatch):
+    # rank-one rows make every character block singular
+    monkeypatch.setattr(bem, "assemble_influence_matrix",
+                        lambda cen, nrm, area, diag, rows: np.ones((len(rows), len(cen))))
+    mesh = mesh_ellipsoid(sys215, 1)
+    with pytest.raises(SingularSystem, match="singular at 80 panels"):
+        solve_bem(mesh, [PointCharge(0.0, 0.0, 0.0, 1.0)], WATER)
+    assert not mesh._factors
 
 
 def test_export_mesh_roundtrip(sys215, tmp_path):

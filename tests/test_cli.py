@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ellharm.cli import main
@@ -119,6 +120,20 @@ def test_bem_validate_rejects_non_increasing_refinements(tmp_path, capsys, refin
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "strictly increase" in err["message"]
+
+
+def test_bem_validate_singular_system_exits_3(tmp_path, capsys, monkeypatch):
+    import ellharm.bem
+    monkeypatch.setattr(ellharm.bem, "assemble_influence_matrix",
+                        lambda cen, nrm, area, diag, rows: np.ones((len(rows), len(cen))))
+    cf = tmp_path / "charges.txt"
+    cf.write_text("0 0 0 1.0\n")
+    code = main(["--semiaxes", "15,12,10", "bem-validate", "--charges", str(cf),
+                 "--order", "2", "--refinements", "0,1,2"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SingularSystem"
+    assert "singular at 20 panels" in err["message"]
 
 
 def test_out_file_and_determinism(tmp_path):
