@@ -9,9 +9,10 @@ solved by centroid collocation of the standard integral equation
 
 where Phi_coul is the bare Coulomb field of the interior charges screened by
 eps1, and the flat-panel self term vanishes.  The solvation energy is the
-interaction of the charges with the induced charge:
+interaction of the charges with the induced charge, summed over the panels
+against the charges' bare Coulomb potential at the centroids:
 
-    E = (1/2) sum_k q_k sum_i sigma_i A_i / |r_k - c_i|.
+    E = (1/2) sum_i sigma_i A_i phi_i,    phi_i = sum_k q_k / |r_k - c_i|.
 
 Everything is deliberately simple (flat panels, centroid rule, dense
 blocks inverted directly) -- this module is an independent numerical
@@ -27,6 +28,7 @@ it costs a right-hand side and eight matrix-vector products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -253,6 +255,10 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
     included, then applies them: one right-hand side, eight matrix-vector
     products, one scatter and the energy sum.  Results do not depend on what
     the mesh holds.  A singular block raises ``SingularSystem``.
+
+    ``charges`` is read once: each charge's centroid distances give its
+    right-hand-side term and its q/r share of the Coulomb potential phi in
+    the energy sum, so any number of charges needs O(T) working memory.
     """
     e1, e2 = diel.eps1, diel.eps2
     if e1 == e2:
@@ -261,24 +267,37 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
     images, inverses, scatter = _factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
     rhs = np.zeros(mesh.panel_count)
+    phi = np.zeros(mesh.panel_count)
     for ch in charges:
         d = cen - np.asarray(ch.position)
         r = np.linalg.norm(d, axis=1)
         # normal derivative of q / (eps1 |r - r_k|) at the centroids
         rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
+        phi += ch.q / r
     b = _CHARACTERS @ rhs[images] / 8.0
     # chi(g) y[r'] for every character, in the order of ``scatter``
     weights = np.concatenate([(chi[:, None] * (inv @ bc[keep])).ravel()
                               for chi, bc, (keep, inv) in zip(_CHARACTERS, b, inverses)])
     sigma = np.bincount(scatter, weights=weights, minlength=mesh.panel_count)
-    energy = 0.0
-    for ch in charges:
-        r = np.linalg.norm(cen - np.asarray(ch.position), axis=1)
-        energy += 0.5 * ch.q * float(np.sum(sigma * area / r))
+    induced = sigma * area
+    energy = 0.5 * float(np.sum(induced * phi))
     return BemSolution(sigma=sigma,
                        energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                        panel_count=mesh.panel_count,
-                       induced_charge=float(np.sum(sigma * area)))
+                       induced_charge=float(np.sum(induced)))
+
+
+@functools.lru_cache(maxsize=1)
+def _richardson_basis(counts: tuple):
+    """The (1201, levels, 3) design matrices X of ``_richardson``'s scan of p
+    for the panel counts, and the Q factors of their batched QR; both
+    read-only, computed once per panel-count tuple."""
+    N = np.asarray(counts, dtype=float)
+    p = np.linspace(0.3, 1.5, 1201)[:, None]
+    X = np.stack([np.ones((len(p), len(N))), N ** -p, N ** (-2 * p)], axis=2)
+    Q = np.linalg.qr(X).Q
+    X.flags.writeable = Q.flags.writeable = False
+    return X, Q
 
 
 def _richardson(counts, energies):
@@ -293,11 +312,10 @@ def _richardson(counts, energies):
     N = np.asarray(counts, dtype=float)
     E = np.asarray(energies, dtype=float)
     if len(N) >= 4:
-        # residuals from one batched QR of the (1201, levels, 3) design
-        # matrices; the chosen fit is solved as a single least-squares problem
-        p = np.linspace(0.3, 1.5, 1201)[:, None]
-        X = np.stack([np.ones((len(p), len(N))), N ** -p, N ** (-2 * p)], axis=2)
-        Q = np.linalg.qr(X).Q
+        # residuals from the batched QR of the design matrices, which depend
+        # on the panel counts alone; the chosen fit is solved as a single
+        # least-squares problem
+        X, Q = _richardson_basis(tuple(counts))
         res = E - (Q @ (E @ Q)[:, :, None])[:, :, 0]
         best = np.argmin(np.vecdot(res, res))
         return float(np.linalg.lstsq(X[best], E, rcond=None)[0][0])
@@ -318,7 +336,12 @@ def convergence_study(mesh_factory, charges, diel: DielectricModel,
     that strictly increase along ``refinements``.  The fitted slope is
     the log-log slope of |energy - reference| vs panel count, where
     ``reference`` is an independent energy such as the semi-analytic one.
+    ``charges`` may be any iterable; it is read once.  With four or more
+    levels the Richardson scan's design matrices and their QR factors are
+    kept for the last panel counts seen, so a repeated study skips their
+    batched QR (1-2 ms) and gets the same limit bit for bit.
     """
+    charges = list(charges)
     refinements = list(refinements)
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import EllipsoidSystem
-from .errors import BranchPointDerivative, OrderOutOfRange
+from .errors import BranchPointDerivative, DegenerateEllipsoid, OrderOutOfRange
 from .numerics import solve_tridiagonal
 
 __all__ = [
@@ -146,7 +146,13 @@ def _class_functions(sys: EllipsoidSystem, n: int, tag: str) -> list:
     m = class_dim(tag, n)
     if m == 0:
         return []
-    values, vectors = solve_tridiagonal(*build_tridiagonal(sys, LameClass(tag, n, 0)))
+    diag, lower, upper = build_tridiagonal(sys, LameClass(tag, n, 0))
+    try:
+        values, vectors = solve_tridiagonal(diag, lower, upper)
+    except ValueError as exc:
+        # the entries scale with h^2 and k^2, so huge semiaxes overflow them
+        raise DegenerateEllipsoid(f"semiaxes {(sys.a, sys.b, sys.c)}: the degree-{n} "
+                                  f"Lame eigenproblem overflows ({exc})") from exc
     # normalize so the coefficient of s^n in psi * P equals 1: the top basis
     # element contributes b_{m-1} * (-1/h^2)^{m-1} * s^{2(m-1)} * psi
     b = vectors * ((-sys.h2) ** (m - 1) / vectors[m - 1])

@@ -43,7 +43,8 @@ def solve_tridiagonal(diag, lower, upper):
     diag, lower, upper = (np.asarray(x, dtype=float) for x in (diag, lower, upper))
     if not all(np.all(np.isfinite(x)) for x in (diag, lower, upper)):
         raise ValueError("non-finite matrix entry")
-    prod = lower * upper
+    with np.errstate(over="ignore"):
+        prod = lower * upper          # an overflow to inf raises below
     if not np.all(prod > 0):
         raise NonSymmetrizable("an off-diagonal product lower*upper is <= 0")
     # off-diagonal of the symmetrized matrix; the sign matters for

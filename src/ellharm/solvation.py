@@ -103,6 +103,7 @@ def _interior_terms(sys: EllipsoidSystem, charges, N: int,
                     table: NormalizationTable | None):
     """The table, q^T E3 (E3 the C-contiguous charges x columns matrix) and
     the source coefficients G, over the table's first (N + 1)^2 columns."""
+    charges = list(charges)
     _check_interior(sys, charges)
     table = _checked_table(sys, N, table)
     H = (N + 1) ** 2

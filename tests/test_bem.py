@@ -5,8 +5,9 @@ import pytest
 
 from ellharm import bem
 from ellharm._kernels import assemble_influence_matrix
-from ellharm.bem import (_SIGNS, TriMesh, _mirrors, _richardson, convergence_study,
-                         export_mesh, icosphere, mesh_ellipsoid, mesh_sphere, solve_bem)
+from ellharm.bem import (_SIGNS, TriMesh, _mirrors, _richardson, _richardson_basis,
+                         convergence_study, export_mesh, icosphere, mesh_ellipsoid,
+                         mesh_sphere, solve_bem)
 from ellharm.errors import NumericalError, SingularSystem
 from ellharm.numerics import gauss_legendre
 from ellharm.solvation import (KCAL_PER_E2_PER_ANGSTROM, DielectricModel, PointCharge,
@@ -71,6 +72,38 @@ def _solve_bem_dense(mesh, charges, diel):
     energy = sum(0.5 * ch.q * float(np.sum(sigma * area / np.linalg.norm(
         cen - np.asarray(ch.position), axis=1))) for ch in charges)
     return sigma, energy * KCAL_PER_E2_PER_ANGSTROM
+
+
+def _solve_bem_per_charge(mesh, charges, diel):
+    """The kept-operator solve with the energy summed charge by charge, each
+    charge's centroid distances computed once for the right-hand side and
+    again for its energy term: (sigma, energy in kcal/mol, induced charge)."""
+    e1, e2 = diel.eps1, diel.eps2
+    cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
+    images, inverses, scatter = bem._factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
+    rhs = np.zeros(mesh.panel_count)
+    for ch in charges:
+        d = cen - np.asarray(ch.position)
+        r = np.linalg.norm(d, axis=1)
+        rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
+    b = bem._CHARACTERS @ rhs[images] / 8.0
+    weights = np.concatenate([(chi[:, None] * (inv @ bc[keep])).ravel()
+                              for chi, bc, (keep, inv) in zip(bem._CHARACTERS, b, inverses)])
+    sigma = np.bincount(scatter, weights=weights, minlength=mesh.panel_count)
+    energy = 0.0
+    for ch in charges:
+        r = np.linalg.norm(cen - np.asarray(ch.position), axis=1)
+        energy += 0.5 * ch.q * float(np.sum(sigma * area / r))
+    return sigma, energy * KCAL_PER_E2_PER_ANGSTROM, float(np.sum(sigma * area))
+
+
+def _charges_in(axes, count, seed):
+    """``count`` charges uniform in the ellipsoid scaled by 0.65, |q| in [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, 3))
+    v *= 0.65 * rng.random((count, 1)) ** (1.0 / 3.0) / np.linalg.norm(v, axis=1)[:, None]
+    q = rng.choice((-1.0, 1.0), count) * rng.uniform(0.2, 1.0, count)
+    return [PointCharge(*(x * np.asarray(axes)), w) for x, w in zip(v, q)]
 
 
 def _richardson_lstsq_reference(counts, energies):
@@ -144,6 +177,42 @@ def test_split_solve_matches_dense_reference(sys_fig3, shape, refinement):
     sigma, energy = _solve_bem_dense(mesh, charges, WATER)
     assert np.abs(sol.sigma - sigma).max() <= 1e-13 * np.abs(sigma).max()
     assert abs(sol.energy_kcal - energy) <= 1e-13 * abs(energy)
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", ["ellipsoid", "sphere"])
+def test_one_charge_pass_matches_per_charge_reference(sys_fig3, shape, refinement):
+    # sigma is the same bit for bit; the energy sum (1/2) sum_i sigma_i A_i
+    # phi_i is the per-charge sum reordered.  Over 20 seeds of every case
+    # below the largest relative energy difference measured was 6.5e-16
+    if shape == "ellipsoid":
+        mesh, axes = mesh_ellipsoid(sys_fig3, refinement), (15.0, 12.0, 10.0)
+    else:
+        mesh, axes = mesh_sphere(2.0, refinement), (2.0, 2.0, 2.0)
+    for count in (0, 1, 3, 30):
+        charges = _charges_in(axes, count, seed=refinement)
+        sol = solve_bem(mesh, charges, WATER)
+        sigma, energy, induced = _solve_bem_per_charge(mesh, charges, WATER)
+        assert np.array_equal(sol.sigma, sigma)
+        assert sol.induced_charge == induced
+        assert abs(sol.energy_kcal - energy) <= 2e-15 * abs(energy)
+        if count == 0:
+            assert not sol.sigma.any() and sol.energy_kcal == 0.0
+            assert sol.induced_charge == 0.0
+
+
+@pytest.mark.parametrize("once", [lambda ch: (c for c in ch), iter])
+def test_charges_read_once_give_the_list_result(sys215, once):
+    charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7)]
+    mesh = mesh_ellipsoid(sys215, 2)
+    want = solve_bem(mesh, charges, WATER)
+    got = solve_bem(mesh, once(charges), WATER)
+    assert np.array_equal(got.sigma, want.sigma)
+    assert (got.energy_kcal, got.induced_charge) == (want.energy_kcal, want.induced_charge)
+    study = [convergence_study(lambda r: mesh_ellipsoid(sys215, r), ch, WATER,
+                               refinements=[0, 1, 2], reference=-1.0)
+             for ch in (charges, once(charges))]
+    assert study[0] == study[1] and study[0].energies[0] != 0.0
 
 
 def test_sphere_mesh_geometry():
@@ -263,6 +332,26 @@ def test_richardson_equals_lstsq_scan_reference():
                         for n in counts]
             want = _richardson_lstsq_reference(counts, energies)
             assert abs(_richardson(counts, energies) - want) <= 1e-13 * abs(want)
+
+
+def test_richardson_basis_changes_no_bit_and_is_read_only():
+    # cold, warm, and after alternating 4- and 5-level panel counts (A-B-A)
+    rng = np.random.default_rng(19)
+    a, b = [80, 320, 1280, 5120], [20, 80, 320, 1280, 5120]
+    ea, eb = -1.0 + 0.1 * rng.random(4), -1.0 + 0.1 * rng.random(5)
+    _richardson_basis.cache_clear()
+    cold = _richardson(a, ea)
+    assert _richardson(a, ea) == cold
+    other = _richardson(b, eb)
+    assert _richardson(a, ea) == cold
+    assert _richardson(b, eb) == other
+    assert _richardson_basis.cache_info().currsize == 1
+    X, Q = _richardson_basis(tuple(a))
+    assert X.shape == (1201, 4, 3) and Q.shape == (1201, 4, 3)
+    for arr in (X, Q):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0.0
 
 
 def test_convergence_study_needs_three_levels(sys215):

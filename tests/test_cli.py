@@ -228,6 +228,18 @@ def test_far_point_or_cancelling_semiaxes_exit_with_a_json_error(capsys, args, c
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+def test_overflowing_lame_matrix_exits_2_with_one_json_line():
+    # build_tridiagonal's entries scale with h^2, so lower*upper overflows
+    res = run_cli(["lame", "--semiaxes", "1e100,5e99,1e99", "--degree", "4", "--p", "1",
+                   "--s", "1e99"])
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DegenerateEllipsoid"
+    assert "(1e+100, 5e+99, 1e+99)" in err["message"] and "degree-4" in err["message"]
+
+
 def test_exit_code_numerical_error():
     # a field point with smaller lambda than the source is an ordering
     # violation (validation), but a field point exactly on the focal ellipse

@@ -384,6 +384,26 @@ def test_cancellation_diagnostic_silent_at_n12(sys215, table16):
     assert 1e4 < peak < CANCELLATION_THRESHOLD
 
 
+@pytest.mark.parametrize("axes", [(10.0, 3.0, 1.0), (15.0, 12.0, 10.0)])
+def test_n1_neumann_poincare_eigenvalues_are_half_minus_depolarization(axes):
+    # with r = (F'/F)/(E'/E) at lambda = a, the NP eigenvalue (r+1)/(2(r-1))
+    # of E_1^p is 1/2 - N_i, for the axis i with E_1^p(a)^2 = axis_i^2 and
+    # N_i = (abc/3) R_D(the other two squares, axis_i^2).  Measured worst
+    # absolute differences: 1.2e-15 on 10,3,1 (where one eigenvalue is
+    # negative, -0.226) and 1.1e-16 on 15,12,10
+    mpmath = pytest.importorskip("mpmath")
+    table = build_normalization_table(new_system(*axes), 1)
+    E, dE, F, dF = table.surface[:, 1:4]          # columns of (1, 1), (1, 2), (1, 3)
+    r = (dF / F) / (dE / E)
+    squares = [x * x for x in axes]
+    with mpmath.workdps(30):
+        depol = [float(mpmath.fprod(axes) / 3 * mpmath.elliprd(
+            *(squares[:i] + squares[i + 1:]), squares[i])) for i in range(3)]
+    assert abs(sum(depol) - 1.0) <= 1e-15
+    assert np.allclose(E * E, squares, rtol=1e-14)  # p = 1, 2, 3 pair with a, b, c
+    assert np.abs((r + 1) / (2 * (r - 1)) - (0.5 - np.array(depol))).max() <= 2e-15
+
+
 def _scalar_reference_I(f, lam):
     """I_n^p(lam) from the scalar integrands, 1 / (E^2 sqrt(s^2 - k^2)
     sqrt(s^2 - h^2)) and, below 1.01 k, the cosh head on [lam, 1.05 k] in

@@ -158,6 +158,16 @@ def test_energy_bilinearity(sys215):
         pytest.approx(9.0 * base, rel=1e-10)
 
 
+@pytest.mark.parametrize("once", [lambda ch: (c for c in ch), iter])
+def test_charges_read_once_give_the_list_result(sys215, once):
+    # a generator or iterator of charges is read once, not once per pass
+    charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7)]
+    want = solvation_energy(sys215, charges, WATER, N=4)
+    assert solvation_energy(sys215, once(charges), WATER, N=4) == want
+    assert source_coefficients(sys215, once(charges), 4) == \
+        source_coefficients(sys215, charges, 4)
+
+
 def test_energy_sign_and_units(sys215):
     report = solvation_energy(sys215, [PointCharge(0, 0, 0, 1.0)], WATER, N=6)
     assert report.energy_kcal < 0.0
