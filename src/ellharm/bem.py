@@ -53,14 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TriMesh:
+    """A closed triangle mesh.  ``solve_bem`` keeps its factored operator on
+    the mesh, so the arrays must not change after a solve: the meshes that
+    ``mesh_ellipsoid`` and ``mesh_sphere`` build are read-only, and the caller
+    of a hand-built one keeps its arrays fixed."""
+
     vertices: np.ndarray    # (V, 3)
     triangles: np.ndarray   # (T, 3) int indices
     centroids: np.ndarray   # (T, 3)
     areas: np.ndarray       # (T,)
     normals: np.ndarray     # (T, 3) outward unit normals
     mirrors: np.ndarray     # (8, T) int: row g maps each panel to its image under s_g
-    # solve_bem's factored operator for one diagonal value (see _factored);
-    # the arrays above are treated as immutable once a solve has used them
+    # solve_bem's factored operator for one diagonal value (see _factored)
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -173,8 +177,10 @@ def _mesh_from_axes(axes, refinement: int) -> TriMesh:
     centroids = (p0 + p1 + p2) / 3.0
     flip = np.einsum("ij,ij->i", normals, centroids) < 0
     normals[flip] *= -1.0
-    return TriMesh(vertices=verts, triangles=faces, centroids=centroids,
-                   areas=areas, normals=normals, mirrors=_mirrors(verts, faces))
+    arrays = (verts, faces, centroids, areas, normals, _mirrors(verts, faces))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return TriMesh(*arrays)
 
 
 def mesh_ellipsoid(sys: EllipsoidSystem, refinement: int) -> TriMesh:

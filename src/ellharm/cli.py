@@ -29,7 +29,7 @@ import sys as _sys
 import numpy as np
 
 from . import bem, coords, harmonics, solvation
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, SingularLowerLimit, ValidationError
 from .lame1 import eval_lame, lame_function
 
 EXIT_OK = 0
@@ -87,17 +87,16 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_table(args, config, columns, rows, units, extra=None):
-    """Emit rows as CSV (default) or JSON, to --out or stdout."""
+def write_table(args, keys, rows, units, extra=None):
+    """Emit rows as CSV (default) or JSON, to --out or stdout.  The columns
+    are the rows' keys, and the configuration the values of the flags that
+    the space-separated ``keys`` name, in that order."""
+    config = {key: getattr(args, key) for key in keys.split()}
+    columns = list(rows[0])
     payload_hash = _config_hash(config)
     if args.format == "json":
-        doc = {
-            "config": config,
-            "config_hash": payload_hash,
-            "units": units,
-            "columns": columns,
-            "rows": rows,
-        }
+        doc = {"config": config, "config_hash": payload_hash, "units": units,
+               "columns": columns, "rows": rows}
         if extra:
             doc["diagnostics"] = extra
         text = json.dumps(doc, indent=2, default=float) + "\n"
@@ -109,8 +108,7 @@ def write_table(args, config, columns, rows, units, extra=None):
             buf.write(f"# {key}: {val}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows(row.values() for row in rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -124,13 +122,26 @@ def _system(args):
     return coords.new_system(a, b, c)
 
 
+def _points(text):
+    return [_parse_triple(chunk, "--points entry") for chunk in text.split(";")]
+
+
+def _semi_analytic(args):
+    """The system, --charges, dielectric and semi-analytic energy report of a run."""
+    sys = _system(args)
+    if not args.charges:
+        raise ValidationError(f"{args.subcommand} needs --charges FILE")
+    charges = read_charge_file(args.charges)
+    diel = solvation.DielectricModel(args.eps1, args.eps2)
+    return sys, charges, diel, solvation.solvation_energy(sys, charges, diel, N=args.order)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 def cmd_transform(args):
     sys = _system(args)
-    pts = []
     if args.brick:
         n = args.brick
         # n^3 points per octant strictly inside each octant's valid box
@@ -139,8 +150,7 @@ def cmd_transform(args):
         pts = [(sx * x, sy * y, sz * z) for sx, sy, sz, x, y, z in itertools.product(
             signs, signs, signs, base * sys.a * 0.9, base * sys.b * 0.9, base * sys.c * 0.9)]
     elif args.points:
-        for chunk in args.points.split(";"):
-            pts.append(_parse_triple(chunk, "--points entry"))
+        pts = _points(args.points)
     else:
         raise ValidationError("transform needs --points or --brick")
     rows = []
@@ -153,12 +163,8 @@ def cmd_transform(args):
             "s_lambda": p.s_lambda, "s_mu": p.s_mu, "s_nu": p.s_nu,
             "roundtrip_residual": max(abs(xr - x), abs(yr - y), abs(zr - z)),
         })
-    config = {"semiaxes": args.semiaxes, "subcommand": "transform",
-              "brick": args.brick, "points": args.points}
-    write_table(args, config,
-                ["x", "y", "z", "lambda", "mu", "nu",
-                 "s_lambda", "s_mu", "s_nu", "roundtrip_residual"],
-                rows, units="lengths in input units (Angstrom)")
+    write_table(args, "semiaxes subcommand brick points", rows,
+                units="lengths in input units (Angstrom)")
 
 
 def cmd_lame(args):
@@ -167,10 +173,8 @@ def cmd_lame(args):
     svals = [float(v) for v in args.s.split(",")]
     if not all(map(math.isfinite, svals)):
         raise ValidationError(f"--s values must be finite, got {args.s!r}")
-    rows = [{"s": s, "E": eval_lame(f, s)} for s in svals]
-    config = {"semiaxes": args.semiaxes, "subcommand": "lame",
-              "degree": args.degree, "p": args.p, "s": args.s}
-    write_table(args, config, ["s", "E"], rows,
+    rows = [{"s": s, "E": float(E)} for s, E in zip(svals, eval_lame(f, np.array(svals)))]
+    write_table(args, "semiaxes subcommand degree p s", rows,
                 units="dimensionless (leading coefficient unity)",
                 extra={"separation_constant": f.separation_constant,
                        "class": f.cls.tag})
@@ -180,19 +184,16 @@ def cmd_harmonic(args):
     sys = _system(args)
     idx = harmonics.HarmonicIndex(args.degree, args.p)
     rows = []
-    for chunk in args.points.split(";"):
-        x, y, z = _parse_triple(chunk, "--points entry")
+    for x, y, z in _points(args.points):
         pt = coords.cart_to_ell(sys, x, y, z)
         row = {"x": x, "y": y, "z": z,
                "interior": harmonics.interior_solid(sys, idx, pt)}
-        if abs(pt.lam) > sys.k * (1 + 1e-12):
+        try:
             row["exterior"] = harmonics.exterior_solid(sys, idx, pt)
-        else:
+        except SingularLowerLimit:      # on the focal disc, where lambda = k
             row["exterior"] = float("nan")
         rows.append(row)
-    config = {"semiaxes": args.semiaxes, "subcommand": "harmonic",
-              "degree": args.degree, "p": args.p, "points": args.points}
-    write_table(args, config, ["x", "y", "z", "interior", "exterior"], rows,
+    write_table(args, "semiaxes subcommand degree p points", rows,
                 units="harmonics dimensionless in Angstrom^n scaling")
 
 
@@ -202,9 +203,7 @@ def cmd_gamma(args):
     rows = [{"n": n, "p": p, "gamma": table.gamma[(n, p)],
              "error_estimate": table.error_estimates[(n, p)]}
             for (n, p) in sorted(table.gamma)]
-    config = {"semiaxes": args.semiaxes, "subcommand": "gamma",
-              "order": args.order}
-    write_table(args, config, ["n", "p", "gamma", "error_estimate"], rows,
+    write_table(args, "semiaxes subcommand order", rows,
                 units="Angstrom^(2n+1) scaling per index")
 
 
@@ -226,31 +225,18 @@ def cmd_coulomb(args):
             "min_gamma": min(d["gamma"] for d in degree_diag),
             "cancellation_flag": int(n in exp.cancellation_degrees),
         })
-    config = {"semiaxes": args.semiaxes, "subcommand": "coulomb",
-              "source": args.source, "field": args.field, "order": args.order}
-    write_table(args, config,
-                ["n", "partial_sum", "abs_error", "max_absE", "max_absF",
-                 "min_gamma", "cancellation_flag"],
-                rows, units="potential in 1/Angstrom (unit charges)",
+    write_table(args, "semiaxes subcommand source field order", rows,
+                units="potential in 1/Angstrom (unit charges)",
                 extra={"exact": exact,
                        "cancellation_degrees": exp.cancellation_degrees})
 
 
 def cmd_solvation(args):
-    sys = _system(args)
-    if not args.charges:
-        raise ValidationError("solvation needs --charges FILE")
-    charges = read_charge_file(args.charges)
-    diel = solvation.DielectricModel(args.eps1, args.eps2)
-    report = solvation.solvation_energy(sys, charges, diel, N=args.order)
+    *_, report = _semi_analytic(args)
     rows = [{"N": report.N, "energy_kcal_per_mol": report.energy_kcal,
              "energy_e2_per_angstrom": report.energy_gaussian}]
-    config = {"semiaxes": args.semiaxes, "subcommand": "solvation",
-              "charges": args.charges, "eps1": args.eps1, "eps2": args.eps2,
-              "order": args.order}
-    write_table(args, config,
-                ["N", "energy_kcal_per_mol", "energy_e2_per_angstrom"],
-                rows, units="kcal/mol and e^2/Angstrom")
+    write_table(args, "semiaxes subcommand charges eps1 eps2 order", rows,
+                units="kcal/mol and e^2/Angstrom")
 
 
 def cmd_born_limit(args):
@@ -265,20 +251,11 @@ def cmd_born_limit(args):
         rows.append({"delta": d, "energy_kcal_per_mol": report.energy_kcal,
                      "born_kcal_per_mol": exact,
                      "deviation": abs(report.energy_kcal - exact)})
-    config = {"subcommand": "born-limit", "deltas": args.deltas,
-              "eps1": args.eps1, "eps2": args.eps2, "order": args.order}
-    write_table(args, config,
-                ["delta", "energy_kcal_per_mol", "born_kcal_per_mol", "deviation"],
-                rows, units="kcal/mol")
+    write_table(args, "subcommand deltas eps1 eps2 order", rows, units="kcal/mol")
 
 
 def cmd_bem_validate(args):
-    sys = _system(args)
-    if not args.charges:
-        raise ValidationError("bem-validate needs --charges FILE")
-    charges = read_charge_file(args.charges)
-    diel = solvation.DielectricModel(args.eps1, args.eps2)
-    semi = solvation.solvation_energy(sys, charges, diel, N=args.order)
+    sys, charges, diel, semi = _semi_analytic(args)
     refinements = [int(v) for v in args.refinements.split(",")]
     study = bem.convergence_study(
         lambda r: bem.mesh_ellipsoid(sys, r), charges, diel, refinements,
@@ -287,12 +264,8 @@ def cmd_bem_validate(args):
              "deviation": d}
             for r, n, e, d in zip(refinements, study.panel_counts,
                                   study.energies, study.deviations)]
-    config = {"semiaxes": args.semiaxes, "subcommand": "bem-validate",
-              "charges": args.charges, "eps1": args.eps1, "eps2": args.eps2,
-              "order": args.order, "refinements": args.refinements}
-    write_table(args, config,
-                ["refinement", "panels", "energy_kcal_per_mol", "deviation"],
-                rows, units="kcal/mol",
+    write_table(args, "semiaxes subcommand charges eps1 eps2 order refinements", rows,
+                units="kcal/mol",
                 extra={"semi_analytic_kcal": semi.energy_kcal,
                        "fitted_slope": study.fitted_slope,
                        "richardson_limit_kcal": study.richardson_limit})
@@ -334,6 +307,7 @@ def build_parser():
     def add_parser(name, **kw):
         p = sub.add_parser(name, **kw)
         _add_common(p, suppress=True)
+        p.set_defaults(subcommand=name)
         return p
 
     p = add_parser("transform", help="coordinate transform table")

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
-from .errors import (NonConvergence, OrderOutOfRange, OrderingViolation,
-                     ValidationError)
+from .errors import (DegenerateEllipsoid, NonConvergence, OrderOutOfRange,
+                     OrderingViolation, ValidationError)
 from .lame1 import _class_functions, _condition, _eval, _padded, eval_lame, lame_function
 from .lame2 import _second_kind, eval_I
 from .numerics import gauss_legendre
@@ -118,11 +118,23 @@ def gamma(sys: EllipsoidSystem, idx: HarmonicIndex, with_error: bool = False):
     """Normalization constant gamma_n^p with an order-doubling error check:
     orders 64, 128 and 256, until two agree to 1e-8 relative."""
     f = lame_function(sys, idx.n, idx.p)
+
+    def rung(order):
+        # gamma scales as length^(4n), so far from unit lengths it leaves
+        # float64 range: 0 or inf is no value to converge to
+        with np.errstate(all="ignore"):
+            value = _gamma_fixed_order(sys, f, order)
+        if value == 0.0 or not math.isfinite(value):
+            raise DegenerateEllipsoid(
+                f"gamma_{idx.n}^{idx.p} of semiaxes {(sys.a, sys.b, sys.c)} is {value} "
+                f"at order {order}: outside float64 range")
+        return value
+
     order = GAMMA_ORDER_START
-    val = _gamma_fixed_order(sys, f, order)
+    val = rung(order)
     while True:
         order *= 2
-        val2 = _gamma_fixed_order(sys, f, order)
+        val2 = rung(order)
         err = abs(val2 - val) / max(abs(val2), 1e-300)
         if err <= 1e-8:
             return (val2, err) if with_error else val2

@@ -155,7 +155,15 @@ def _class_functions(sys: EllipsoidSystem, n: int, tag: str) -> list:
                                   f"Lame eigenproblem overflows ({exc})") from exc
     # normalize so the coefficient of s^n in psi * P equals 1: the top basis
     # element contributes b_{m-1} * (-1/h^2)^{m-1} * s^{2(m-1)} * psi
-    b = vectors * ((-sys.h2) ** (m - 1) / vectors[m - 1])
+    try:
+        top = (-sys.h2) ** (m - 1)
+    except OverflowError:
+        top = np.inf
+    with np.errstate(all="ignore"):
+        b = vectors * (top / vectors[m - 1])
+    if not np.isfinite(b).all():
+        raise DegenerateEllipsoid(f"semiaxes {(sys.a, sys.b, sys.c)}: the degree-{n} "
+                                  "Lame normalization overflows")
     return [LameFunction(system=sys, cls=LameClass(tag, n, j), coeffs=b[:, j].copy(),
                          separation_constant=float(values[j])) for j in range(m)]
 

@@ -409,6 +409,27 @@ def test_mesh_built_by_hand_solves_and_compares_without_its_cache(sys215):
     assert "_factors" not in repr(twin)
 
 
+def test_library_meshes_are_read_only_and_solve_as_writable_copies(sys215):
+    # solve_bem keeps the operator on the mesh, so an in-place edit would
+    # leave it stale: the library's meshes refuse one, and a solve on a
+    # hand-built mesh of writable copies gives the same bits
+    charges = [PointCharge(0.2, 0.1, -0.3, 1.0)]
+    mesh = mesh_ellipsoid(sys215, 2)
+    before = solve_bem(mesh, charges, WATER)
+    arrays = (mesh.vertices, mesh.triangles, mesh.centroids, mesh.areas, mesh.normals,
+              mesh.mirrors)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr *= 1
+    copy = TriMesh(*(np.array(arr) for arr in arrays))
+    assert copy.centroids.flags.writeable
+    for got in (solve_bem(mesh, charges, WATER), solve_bem(copy, charges, WATER)):
+        assert got.energy_kcal == before.energy_kcal
+        assert np.array_equal(got.sigma, before.sigma)
+    assert not mesh_sphere(1.0, 1).centroids.flags.writeable
+
+
 def test_singular_block_raises_singular_system(sys215, monkeypatch):
     # rank-one rows make every character block singular
     monkeypatch.setattr(bem, "assemble_influence_matrix",

@@ -1,4 +1,6 @@
 import json
+import math
+import shlex
 import subprocess
 import sys
 
@@ -253,3 +255,86 @@ def test_console_script_help():
     res = run_cli(["--help"])
     assert res.returncode == 0
     assert "transform" in res.stdout and "bem-validate" in res.stdout
+
+
+# the README's commands with the config (in key order), config_hash, columns
+# and units that their JSON output carries; the numbers are not pinned
+README_COMMANDS = [
+    ('transform --points "0.3,0.2,0.1;1,0.5,0.25"',
+     {"semiaxes": "2,1.5,1", "subcommand": "transform", "brick": None,
+      "points": "0.3,0.2,0.1;1,0.5,0.25"}, "7cd1ed4cd4af96aa",
+     "x y z lambda mu nu s_lambda s_mu s_nu roundtrip_residual",
+     "lengths in input units (Angstrom)"),
+    ("lame --degree 2 --p 3 --s 2.0,2.5,3.0",
+     {"semiaxes": "2,1.5,1", "subcommand": "lame", "degree": 2, "p": 3, "s": "2.0,2.5,3.0"},
+     "c7e39bceedfefdf8", "s E", "dimensionless (leading coefficient unity)"),
+    ('harmonic --degree 1 --p 1 --points "0.5,0.5,0.5"',
+     {"semiaxes": "2,1.5,1", "subcommand": "harmonic", "degree": 1, "p": 1,
+      "points": "0.5,0.5,0.5"}, "9a3ade284e4ba4da", "x y z interior exterior",
+     "harmonics dimensionless in Angstrom^n scaling"),
+    ("gamma --order 4",
+     {"semiaxes": "2,1.5,1", "subcommand": "gamma", "order": 4}, "eefc2f0c328e4be1",
+     "n p gamma error_estimate", "Angstrom^(2n+1) scaling per index"),
+    ("coulomb --source 0,0,0.5 --field 0,0,2 --order 12",
+     {"semiaxes": "2,1.5,1", "subcommand": "coulomb", "source": "0,0,0.5",
+      "field": "0,0,2", "order": 12}, "fc5acd4a41e03a01",
+     "n partial_sum abs_error max_absE max_absF min_gamma cancellation_flag",
+     "potential in 1/Angstrom (unit charges)"),
+    ("solvation --semiaxes 15,12,10 --charges charges.txt",
+     {"semiaxes": "15,12,10", "subcommand": "solvation", "charges": "charges.txt",
+      "eps1": 4.0, "eps2": 80.0, "order": 12}, "3f64ab749315acec",
+     "N energy_kcal_per_mol energy_e2_per_angstrom", "kcal/mol and e^2/Angstrom"),
+    ("born-limit --deltas 1,0.1,0.01,0.001",
+     {"subcommand": "born-limit", "deltas": "1,0.1,0.01,0.001", "eps1": 4.0,
+      "eps2": 80.0, "order": 12}, "0162f247c52fca5c",
+     "delta energy_kcal_per_mol born_kcal_per_mol deviation", "kcal/mol"),
+    ("bem-validate --semiaxes 15,12,10 --charges charges.txt --refinements 1,2,3,4",
+     {"semiaxes": "15,12,10", "subcommand": "bem-validate", "charges": "charges.txt",
+      "eps1": 4.0, "eps2": 80.0, "order": 12, "refinements": "1,2,3,4"},
+     "f8331fd087fb36dd", "refinement panels energy_kcal_per_mol deviation", "kcal/mol"),
+]
+
+
+@pytest.mark.parametrize("command, config, config_hash, columns, units", README_COMMANDS,
+                         ids=[c[0].split()[0] for c in README_COMMANDS])
+def test_readme_command_keeps_its_json_header(tmp_path, monkeypatch, capsys, command,
+                                              config, config_hash, columns, units):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "charges.txt").write_text("3 4 5 1.0\n")
+    assert main(shlex.split(command) + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["config"].items()) == list(config.items())
+    assert doc["config_hash"] == config_hash
+    assert doc["columns"] == columns.split()
+    assert doc["units"] == units
+    assert [list(row) for row in doc["rows"]] == [doc["columns"]] * len(doc["rows"])
+
+
+def test_harmonic_exterior_is_nan_on_the_focal_disc(capsys):
+    # on 2,1.5,1 the focal disc is z = 0, x^2/3 + y^2/1.25 < 1, where lambda = k
+    assert main(["harmonic", "--degree", "2", "--p", "2", "--format", "json",
+                 "--points", "0.5,0.5,0;1.9,0,0"]) == 0
+    disc, outside = json.loads(capsys.readouterr().out)["rows"]
+    assert math.isnan(disc["exterior"]) and math.isfinite(disc["interior"])
+    assert math.isfinite(outside["exterior"]) and outside["exterior"] != 0.0
+
+
+@pytest.mark.parametrize("args, charge", [
+    # gamma scales as length^(4n) and the Lame normalization as h^(2(m-1))
+    (["--semiaxes", "1e50,5e49,1e49", "gamma", "--order", "8"], None),
+    (["--semiaxes", "1e50,5e49,1e49", "lame", "--degree", "8", "--p", "1", "--s", "1e49"],
+     None),
+    (["--semiaxes", "1.5e-9,1.2e-9,1e-9", "solvation"], "3e-10 4e-10 5e-10 1\n"),
+    (["--semiaxes", "1.5e7,1.2e7,1e7", "solvation"], "3e6 4e6 5e6 1\n"),
+])
+def test_lengths_far_from_one_exit_2_with_one_json_line(tmp_path, args, charge):
+    if charge:
+        (tmp_path / "charges.txt").write_text(charge)
+        args = args + ["--charges", str(tmp_path / "charges.txt")]
+    res = run_cli(args)
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DegenerateEllipsoid"
+    assert "semiaxes (" in err["message"]

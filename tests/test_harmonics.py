@@ -7,7 +7,7 @@ from scipy.special import ellip_normal
 from conftest import (fd_laplacian, gamma_tensor_reference, lame_reference,
                       second_kind_reference, surface_inner)
 from ellharm.coords import cart_to_ell, new_system
-from ellharm.errors import NonConvergence, OrderingViolation
+from ellharm.errors import DegenerateEllipsoid, NonConvergence, OrderingViolation
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                _interior_pass, build_normalization_table,
                                coulomb_expand, exterior_solid, gamma,
@@ -255,6 +255,15 @@ def test_gamma_runs_the_order_ladder(sys215, monkeypatch):
     with pytest.raises(NonConvergence, match="order 256"):
         gamma(sys215, HarmonicIndex(0, 1))
     assert orders == [64, 128, 256]
+
+
+@pytest.mark.parametrize("scale, n, value", [(1e-10, 9, "0.0"), (1e6, 12, "nan")])
+def test_gamma_outside_float64_range_is_a_degenerate_ellipsoid(scale, n, value):
+    # gamma scales as length^(4n): it underflows to 0 or overflows (inf - inf
+    # in the separable sums) without a RuntimeWarning escaping
+    sys = new_system(15 * scale, 12 * scale, 10 * scale)
+    with pytest.raises(DegenerateEllipsoid, match=rf"gamma_{n}\^1 .* is {value} at order 64"):
+        gamma(sys, HarmonicIndex(n, 1))
 
 
 # scipy's reference quadrature warns about its own round-off; the

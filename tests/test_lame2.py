@@ -151,3 +151,28 @@ def test_I_for_n_up_to_1_equals_carlson_closed_forms(axes):
                 last = min(range(3), key=lambda i: abs(xyz[i] - e2))
                 want = mpmath.elliprd(*(xyz[:last] + xyz[last + 1:] + [xyz[last]])) / 3
                 assert abs(eval_I(f, lam) - want) <= tol * want, (lam, p)
+
+
+@pytest.mark.parametrize("axes", [(15.0, 12.0, 10.0), (2.0, 1.5, 1.0), (10.0, 3.0, 1.0)])
+def test_I_for_n_2_class_K_equals_carlson_rj(axes):
+    # E_2^p = s^2 - theta for p = 1, 2, with theta the larger and the smaller
+    # root of 3 theta^2 - 2 (h^2 + k^2) theta + h^2 k^2 = 0, and
+    # I = -dR_J(x, y, z, q)/dq / 3 at q = lambda^2 - theta.  Measured worst
+    # relative errors: 2.3e-16 for theta = h^2 (1 + b_0/b_1), 5.6e-15 for I at
+    # lambda >= 1.003k and 2.3e-14 at 1.00003k
+    mpmath = pytest.importorskip("mpmath")
+    sys = new_system(*axes)
+    with mpmath.workdps(40):
+        h2, k2 = mpmath.mpf(sys.h2), mpmath.mpf(sys.k2)
+        root = mpmath.sqrt((h2 + k2) ** 2 - 3 * h2 * k2)
+        for p, theta in ((1, (h2 + k2 + root) / 3), (2, (h2 + k2 - root) / 3)):
+            f = lame_function(sys, 2, p)
+            assert f.cls.tag == "K"
+            b0, b1 = f.coeffs
+            assert abs(sys.h2 * (1 + b0 / b1) - theta) <= 1e-15 * theta, p
+            for lam, tol in ((sys.a, 5e-14), (1.003 * sys.k, 5e-14),
+                             (1.00003 * sys.k, 1e-13), (4.0 * sys.a, 5e-14)):
+                x = mpmath.mpf(lam) ** 2
+                want = -mpmath.diff(lambda q: mpmath.elliprj(x, x - h2, x - k2, q),
+                                    x - theta) / 3
+                assert abs(eval_I(f, lam) - want) <= tol * want, (lam, p)
