@@ -29,7 +29,7 @@ import sys as _sys
 import numpy as np
 
 from . import bem, coords, harmonics, solvation
-from .errors import NumericalError, SingularLowerLimit, ValidationError
+from .errors import NumericalError, RangeViolation, SingularLowerLimit, ValidationError
 from .lame1 import eval_lame, lame_function
 
 EXIT_OK = 0
@@ -173,7 +173,11 @@ def cmd_lame(args):
     svals = [float(v) for v in args.s.split(",")]
     if not all(map(math.isfinite, svals)):
         raise ValidationError(f"--s values must be finite, got {args.s!r}")
-    rows = [{"s": s, "E": float(E)} for s, E in zip(svals, eval_lame(f, np.array(svals)))]
+    with np.errstate(all="ignore"):
+        values = eval_lame(f, np.array(svals)).tolist()
+    if bad := [s for s, E in zip(svals, values) if not math.isfinite(E)]:
+        raise RangeViolation(f"E_{args.degree}^{args.p}({bad[0]}) leaves float64 range")
+    rows = [{"s": s, "E": E} for s, E in zip(svals, values)]
     write_table(args, "semiaxes subcommand degree p s", rows,
                 units="dimensionless (leading coefficient unity)",
                 extra={"separation_constant": f.separation_constant,

@@ -111,10 +111,10 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
 
     The result is round-trip verified against ``ell_to_cart`` to 1e-6
     absolute (the documented accuracy of the direct cubic-root transform);
-    ``RoundTripFailure`` is raised when the verification fails, which happens
-    far from the ellipsoid where the cubic becomes ill-conditioned, also when
-    the roots fall outside the coordinate ranges there.  A non-finite
-    coordinate raises ``RangeViolation``.
+    ``RoundTripFailure`` is raised when the verification fails (far out the
+    cubic is ill-conditioned), when the cubic leaves float range (far out,
+    or at lengths below ~1e-26) or its roots the coordinate ranges.  A
+    non-finite coordinate raises ``RangeViolation``.
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
@@ -123,42 +123,39 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     w1 = -(x2 + y2 + z2 + h2 + k2)
     w2 = x2 * (h2 + k2) + y2 * k2 + z2 * h2 + h2 * k2
     w3 = -x2 * h2 * k2
-    Q = (w1 * w1 - 3.0 * w2) / 9.0
+    sx, sy, sz = (1 if x >= 0 else -1), (1 if y >= 0 else -1), (1 if z >= 0 else -1)
+    sl, sm, sn = sx * sy * sz, sx * sy, sx * sz
     try:
+        Q = (w1 * w1 - 3.0 * w2) / 9.0
         R = (9.0 * w1 * w2 - 27.0 * w3 - 2.0 * w1 ** 3) / 54.0
         # roundoff can push |R|/Q^{3/2} marginally above 1 near coordinate planes
         ct = min(1.0, max(-1.0, R / math.sqrt(Q ** 3)))
-    except OverflowError:
-        # Q^3 overflows from |r| ~ 1e26 on, w1^3 from ~ 2e51 on
-        raise RoundTripFailure(f"the cubic of {(x, y, z)} overflows") from None
-    third = math.acos(ct) / 3.0
-    sq, shift = 2.0 * math.sqrt(Q), w1 / 3.0
-    lam2 = _polish_root(w1, w2, w3, sq * math.cos(third) - shift)
-    mu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 4.0 * math.pi / 3.0) - shift)
-    nu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 2.0 * math.pi / 3.0) - shift)
-    # snap roots that agree with a semifocal square to machine precision: the
-    # reconstruction multiplies (root - h^2) etc. by lambda^2, so a one-ulp
-    # residual at a coordinate plane would otherwise be amplified
-    tol_h = 1e-13 * (h2 if h2 > 1.0 else 1.0)
-    tol_k = 1e-13 * (k2 if k2 > 1.0 else 1.0)
-    mu2 = h2 if abs(mu2 - h2) <= tol_h else mu2
-    nu2 = h2 if abs(nu2 - h2) <= tol_h else nu2
-    mu2 = k2 if abs(mu2 - k2) <= tol_k else mu2
-    nu2 = k2 if abs(nu2 - k2) <= tol_k else nu2
-    lam2 = k2 if abs(lam2 - k2) <= tol_k else lam2
-    nu2 = 0.0 if abs(nu2) <= 1e-13 else nu2
-    sx, sy, sz = (1 if x >= 0 else -1), (1 if y >= 0 else -1), (1 if z >= 0 else -1)
-    sl, sm, sn = sx * sy * sz, sx * sy, sx * sz
-    # a negative root from roundoff is clipped to 0; a nan root stays nan
-    lam = sl * math.sqrt(0.0 if lam2 < 0.0 else lam2)
-    mu = sm * math.sqrt(0.0 if mu2 < 0.0 else mu2)
-    nu = sn * math.sqrt(0.0 if nu2 < 0.0 else nu2)
-    try:
+        third = math.acos(ct) / 3.0
+        sq, shift = 2.0 * math.sqrt(Q), w1 / 3.0
+        lam2 = _polish_root(w1, w2, w3, sq * math.cos(third) - shift)
+        mu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 4.0 * math.pi / 3.0) - shift)
+        nu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 2.0 * math.pi / 3.0) - shift)
+        # snap roots that agree with a semifocal square to machine precision:
+        # the reconstruction multiplies (root - h^2) etc. by lambda^2, so a
+        # one-ulp residual at a coordinate plane would otherwise be amplified
+        tol_h = 1e-13 * (h2 if h2 > 1.0 else 1.0)
+        tol_k = 1e-13 * (k2 if k2 > 1.0 else 1.0)
+        mu2 = h2 if abs(mu2 - h2) <= tol_h else mu2
+        nu2 = h2 if abs(nu2 - h2) <= tol_h else nu2
+        mu2 = k2 if abs(mu2 - k2) <= tol_k else mu2
+        nu2 = k2 if abs(nu2 - k2) <= tol_k else nu2
+        lam2 = k2 if abs(lam2 - k2) <= tol_k else lam2
+        nu2 = 0.0 if abs(nu2) <= 1e-13 else nu2
+        # a negative root from roundoff is clipped to 0; a nan root stays nan
+        lam = sl * math.sqrt(0.0 if lam2 < 0.0 else lam2)
+        mu = sm * math.sqrt(0.0 if mu2 < 0.0 else mu2)
+        nu = sn * math.sqrt(0.0 if nu2 < 0.0 else nu2)
         xr, yr, zr = _cartesian(h2, k2, lam, mu, nu, sl, sm, sn)
-    except RangeViolation:
-        # far out, the cubic's inaccurate roots leave the coordinate ranges
-        raise RoundTripFailure(f"round trip of {(x, y, z)} leaves the coordinate "
-                               "ranges") from None
+    except (OverflowError, ZeroDivisionError, RangeViolation) as exc:
+        # Q^3 overflows from |r| ~ 1e26 on, w1^3 from ~ 2e51; Q^3 and h^2 k^2
+        # underflow to 0 below ~1e-26; far out, roots leave their ranges
+        raise RoundTripFailure(f"round trip of {(x, y, z)} fails "
+                               f"({type(exc).__name__}: {exc})") from None
     err = max(abs(xr - x), abs(yr - y), abs(zr - z))
     # from |r| ~ 1.4e154 on, x^2 is inf, every root nan and so is err
     if not err <= _ROUND_TRIP_TOL:

@@ -65,8 +65,8 @@ class RoundTripFailure(NumericalError):
 
 
 class ResonantDenominator(NumericalError):
-    """The reaction-coefficient denominator is numerically zero (unphysical
-    dielectric/geometry combination)."""
+    """Kept for the API; nothing raises it, as the reaction denominator is at
+    least 1 for positive permittivities (``solvation._reaction_factor``)."""
 
 
 class SingularSystem(NumericalError):

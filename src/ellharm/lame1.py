@@ -147,18 +147,17 @@ def _class_functions(sys: EllipsoidSystem, n: int, tag: str) -> list:
     if m == 0:
         return []
     diag, lower, upper = build_tridiagonal(sys, LameClass(tag, n, 0))
-    try:
-        values, vectors = solve_tridiagonal(diag, lower, upper)
-    except ValueError as exc:
-        # the entries scale with h^2 and k^2, so huge semiaxes overflow them
-        raise DegenerateEllipsoid(f"semiaxes {(sys.a, sys.b, sys.c)}: the degree-{n} "
-                                  f"Lame eigenproblem overflows ({exc})") from exc
     # normalize so the coefficient of s^n in psi * P equals 1: the top basis
     # element contributes b_{m-1} * (-1/h^2)^{m-1} * s^{2(m-1)} * psi
     try:
+        values, vectors = solve_tridiagonal(diag, lower, upper)
         top = (-sys.h2) ** (m - 1)
-    except OverflowError:
-        top = np.inf
+    except (ValueError, OverflowError) as exc:
+        # the entries scale with h^2 and k^2, and top with h^(2(m-1)), so huge
+        # semiaxes overflow them
+        raise DegenerateEllipsoid(f"semiaxes {(sys.a, sys.b, sys.c)}: the degree-{n} Lame "
+                                  f"eigenproblem or its normalization overflows ({exc})"
+                                  ) from exc
     with np.errstate(all="ignore"):
         b = vectors * (top / vectors[m - 1])
     if not np.isfinite(b).all():

@@ -59,22 +59,19 @@ def eval_I(f: LameFunction, lam: float) -> float:
     if lam <= k * (1.0 + 1e-12):
         raise SingularLowerLimit(f"lambda={lam} must exceed k={k}")
 
-    total = 0.0
+    parts = []
     lo = lam
     if lam <= _NEAR_SINGULAR_FACTOR * k:
         # head on [lam, 1.05 k] via s = k cosh(t): ds / sqrt(s^2 - k^2) = dt
-        res = adaptive_quad(lambda t: _integrand(f, k * np.cosh(t), 1.0),
-                            math.acosh(lam / k), math.acosh(_SPLIT_FACTOR))
-        if not res.converged:
-            raise NonConvergence("head quadrature did not converge")
-        total += res.value
+        parts.append(adaptive_quad(lambda t: _integrand(f, k * np.cosh(t), 1.0),
+                                   math.acosh(lam / k), math.acosh(_SPLIT_FACTOR)))
         lo = _SPLIT_FACTOR * k
-
-    res = adaptive_quad(lambda s: _integrand(f, s, np.sqrt(s * s - sys.k2)),
-                        lo, math.inf)
-    if not res.converged:
-        raise NonConvergence("tail quadrature did not converge")
-    return total + res.value
+    parts.append(adaptive_quad(lambda s: _integrand(f, s, np.sqrt(s * s - sys.k2)),
+                               lo, math.inf))
+    if not all(res.converged for res in parts):
+        raise NonConvergence(f"the quadrature of I for {f.cls} at lambda={lam} "
+                             "did not converge")
+    return sum(res.value for res in parts)
 
 
 def surface_I(f: LameFunction) -> float:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import EllipsoidSystem, cart_to_ell
-from .errors import (ChargeOutsideEllipsoid, RangeViolation, ResonantDenominator,
-                     ValidationError)
+from .errors import ChargeOutsideEllipsoid, RangeViolation, ValidationError
 from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
                         _interior_pass)
 from .lame1 import N_MAX_DEFAULT
@@ -129,18 +128,21 @@ def _columns(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
     return table, [i.n * i.n + i.p - 1 for i in idx]
 
 
-def _reaction_factor(diel: DielectricModel, surface, keys) -> np.ndarray:
-    """R in B = R G by column of ``surface`` (rows E, E', F, F' at lambda = a,
-    columns named in order by the iterable ``keys``); zero when eps1 == eps2."""
+def _reaction_factor(diel: DielectricModel, surface) -> np.ndarray:
+    """R in B = R G by column of ``surface`` (rows E, E', F, F' at lambda = a);
+    exact zeros when eps1 == eps2, also where eps1 * eps2 underflows to 0.
+
+    The denominator D = 1 - t (E'/E)/(F'/F), t = eps1/eps2, is at least 1:
+    D = 0 at a t > 0 is the flux condition of the (n, p) mode u = E3 inside,
+    (E(a)/F(a)) F3 outside, which would then solve the homogeneous transmission
+    problem with energy eps1 int |grad u|^2 + eps2 int |grad u|^2 = 0 (Green's
+    identity), so u = 0; it is not.  D is linear in t with D(0) = 1, so D >= 1.
+    ``test_reaction_denominator_cannot_vanish`` pins the computed signs."""
     e1, e2 = diel.eps1, diel.eps2
     E, dE, F, dF = surface
     if e1 == e2:
         return np.zeros(len(E))
-    denom = 1.0 - (e1 / e2) * (dE / E) / (dF / F)
-    if (resonant := np.abs(denom) < 1e-12).any():
-        raise ResonantDenominator("reaction denominator vanishes at (n, p) = "
-                                  "({}, {})".format(*list(keys)[np.argmax(resonant)]))
-    return (e1 - e2) / (e1 * e2) * (F / E) / denom
+    return (e1 - e2) / (e1 * e2) * (F / E) / (1.0 - (e1 / e2) * (dE / E) / (dF / F))
 
 
 def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
@@ -149,7 +151,7 @@ def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
     if diel.eps1 == diel.eps2:
         return dict.fromkeys(G, 0.0)
     table, cols = _columns(sys, G, table)
-    R = _reaction_factor(diel, table.surface[:, cols], G)
+    R = _reaction_factor(diel, table.surface[:, cols])
     return {key: r * g for (key, g), r in zip(G.items(), R.tolist())}
 
 
@@ -192,7 +194,7 @@ def solvation_energy(sys: EllipsoidSystem, charges, diel: DielectricModel,
                      table: NormalizationTable | None = None) -> EnergyReport:
     """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) (q^T E3) B."""
     table, qE3, G = _interior_terms(sys, charges, N, table)
-    B = _reaction_factor(diel, table.surface[:, :len(G)], table.functions) * G
+    B = _reaction_factor(diel, table.surface[:, :len(G)]) * G
     energy = 0.5 * float(qE3 @ B)
     return EnergyReport(energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                         energy_gaussian=energy, N=N)

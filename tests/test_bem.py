@@ -5,10 +5,12 @@ import pytest
 
 from ellharm import bem
 from ellharm._kernels import assemble_influence_matrix
-from ellharm.bem import (_SIGNS, TriMesh, _mirrors, _richardson, _richardson_basis,
+from ellharm.bem import (_BITS, _CHARACTERS, _SIGNS, TriMesh, _mirrors, _richardson,
+                         _richardson_basis,
                          convergence_study, export_mesh, icosphere, mesh_ellipsoid,
                          mesh_sphere, solve_bem)
 from ellharm.errors import NumericalError, SingularSystem
+from ellharm.harmonics import build_normalization_table
 from ellharm.numerics import gauss_legendre
 from ellharm.solvation import (KCAL_PER_E2_PER_ANGSTROM, DielectricModel, PointCharge,
                                born_energy, solvation_energy)
@@ -177,6 +179,43 @@ def test_split_solve_matches_dense_reference(sys_fig3, shape, refinement):
     sigma, energy = _solve_bem_dense(mesh, charges, WATER)
     assert np.abs(sol.sigma - sigma).max() <= 1e-13 * np.abs(sigma).max()
     assert abs(sol.energy_kcal - energy) <= 1e-13 * abs(energy)
+
+
+def _np_block_tops(mesh):
+    """The largest eigenvalue / 4 pi of each character's block of the
+    collocation operator with diagonal 0, formed as ``bem._factored`` forms
+    the blocks: the Neumann-Poincare operator on the mesh, split by parity."""
+    m = mesh.mirrors
+    reps = np.flatnonzero(m.min(axis=0) == np.arange(mesh.panel_count))
+    images = m[:, reps]
+    A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, 0.0, reps)
+    B = np.tensordot(_CHARACTERS, A[:, images], axes=([1], [1]))
+    nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
+    return np.array([np.linalg.eigvals(Bc[np.ix_(keep, keep)]).real.max() / (4 * math.pi)
+                     for Bc, keep in zip(B, (np.flatnonzero(~s) for s in nontrivial))])
+
+
+def test_character_blocks_approach_the_np_spectrum(sys_fig3):
+    # the NP eigenvalue of harmonic (n, p) is (1 + u) / (2 (1 - u)) with
+    # u = (E'/E)/(F'/F) at lambda = a (1/2 for n = 0).  A harmonic odd in x,
+    # y or z has psi exponent e_s, e_h or e_k set, so each character's block
+    # carries the columns whose exponents equal its bits, and its top
+    # eigenvalue approaches their largest, that of (n, p) = (0, 1), (1, 1),
+    # (1, 2), (2, 3), (1, 3), (2, 4), (2, 5) and (3, 7) for characters 0..7
+    table = build_normalization_table(sys_fig3, 4)
+    E, dE, F, dF = table.surface
+    u = (dE / E) / (dF / F)
+    lam = (1.0 + u) / (2.0 * (1.0 - u))
+    target = np.array([lam[(table.exponents.T == bits).all(axis=1)].max()
+                       for bits in _BITS])
+    gap320, gap1280 = (np.abs(_np_block_tops(mesh_ellipsoid(sys_fig3, r)) - target)
+                       for r in (2, 3))
+    # measured gap ratios 0.33-0.51 from 320 to 1280 panels, all but odd x
+    converging = [0, 2, 3, 4, 5, 6, 7]
+    assert np.all(gap1280[converging] <= 0.6 * gap320[converging]), gap1280 / gap320
+    # the odd-x block does not approach (0, 1)'s 0.2467 monotonically: 0.2480
+    # at 320 panels, 0.2485 at 1280 (gap 1.8e-3)
+    assert gap1280[1] <= 2.5e-3
 
 
 @pytest.mark.parametrize("refinement", [1, 2, 3, 4])

@@ -224,6 +224,9 @@ def test_gamma_quad_order_is_no_option_exits_2_before_any_rule(monkeypatch):
     # semiaxes whose squares overflow
     (["--semiaxes", "1e200,5e199,1e199", "transform", "--points", "1,1,1"],
      2, "DegenerateEllipsoid"),
+    # the cubic's Q^3 underflows to 0 at lengths below ~1e-26
+    (["--semiaxes", "1e-100,5e-101,1e-101", "transform", "--points", "1e-101,1e-101,1e-101"],
+     3, "RoundTripFailure"),
 ])
 def test_far_point_or_cancelling_semiaxes_exit_with_a_json_error(capsys, args, code, error):
     assert main(args) == code
@@ -338,3 +341,16 @@ def test_lengths_far_from_one_exit_2_with_one_json_line(tmp_path, args, charge):
     err = json.loads(lines[0])
     assert err["error"] == "DegenerateEllipsoid"
     assert "semiaxes (" in err["message"]
+
+
+@pytest.mark.parametrize("args", [
+    # E_7^1(1e49) is -inf there, and E_2^1(1e200) nan (t = -inf, and Horner forms t * 0)
+    ["--semiaxes", "1e50,5e49,1e49", "lame", "--degree", "7", "--p", "1", "--s", "1e49"],
+    ["--semiaxes", "15,12,10", "lame", "--degree", "2", "--p", "1", "--s", "2.0,1e200"],
+])
+def test_lame_values_beyond_float64_range_exit_2_with_one_json_line(args):
+    res = run_cli(args)
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "RangeViolation"

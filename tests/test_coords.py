@@ -10,7 +10,7 @@ from conftest import cart_to_ell_reference
 from ellharm.coords import (cart_to_ell, ell_to_cart, new_system,
                             normal_derivative_factor, surface_point,
                             EllipsoidalPoint)
-from ellharm.errors import DegenerateEllipsoid, RangeViolation
+from ellharm.errors import DegenerateEllipsoid, RangeViolation, RoundTripFailure
 
 
 def test_new_system_semifocals(sys215, sys_fig3):
@@ -83,6 +83,14 @@ def test_ell_to_cart_range_violation(sys215):
 def test_cart_to_ell_rejects_non_finite(sys215, xyz):
     with pytest.raises(RangeViolation):
         cart_to_ell(sys215, *xyz)
+
+
+def test_cart_to_ell_at_lengths_near_1e_minus_100_raises_round_trip_failure():
+    # Q^3 of the cubic underflows to 0 there, and so would h^2 k^2 in the
+    # reverse map
+    sys = new_system(1e-100, 5e-101, 1e-101)
+    with pytest.raises(RoundTripFailure):
+        cart_to_ell(sys, 1e-101, 1e-101, 1e-101)
 
 
 def _octant_brick(sys, per_axis=4):

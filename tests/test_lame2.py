@@ -6,9 +6,11 @@ from scipy.special import ellip_harm_2
 
 from conftest import second_kind_reference
 from ellharm.coords import new_system
-from ellharm.errors import SingularLowerLimit
+from ellharm import lame2
+from ellharm.errors import NonConvergence, SingularLowerLimit
 from ellharm.lame1 import eval_lame, lame_function
 from ellharm.lame2 import eval_F, eval_I, surface_I
+from ellharm.numerics import adaptive_quad
 
 # composite-midpoint brute-force value of the n=0 integral at lambda=2 on
 # (a,b,c) = (2, 1.5, 1), computed at 30-digit precision
@@ -45,6 +47,27 @@ def test_singular_lower_limit(sys215):
     f = lame_function(sys215, 0, 1)
     with pytest.raises(SingularLowerLimit):
         eval_I(f, sys215.k)
+
+
+@pytest.mark.parametrize("where, failing, calls", [("1.003k", 0, 2), ("1.003k", 1, 2),
+                                                   ("2.5a", 0, 1)])
+def test_unconverged_quadrature_raises_non_convergence(sys215, monkeypatch, where,
+                                                       failing, calls):
+    # near k, I is a cosh head (quadrature 0) plus a tail (quadrature 1),
+    # elsewhere only a tail; either one that does not converge raises
+    done = []
+
+    def quad(*args):
+        res = adaptive_quad(*args)
+        res.converged = len(done) != failing
+        done.append(res)
+        return res
+
+    monkeypatch.setattr(lame2, "adaptive_quad", quad)
+    lam = {"1.003k": 1.003 * sys215.k, "2.5a": 2.5 * sys215.a}[where]
+    with pytest.raises(NonConvergence, match=f"lambda={lam}"):
+        eval_I(lame_function(sys215, 2, 3), lam)
+    assert len(done) == calls
 
 
 # scipy's reference quadrature warns about its own round-off; the
@@ -176,3 +199,27 @@ def test_I_for_n_2_class_K_equals_carlson_rj(axes):
                 want = -mpmath.diff(lambda q: mpmath.elliprj(x, x - h2, x - k2, q),
                                     x - theta) / 3
                 assert abs(eval_I(f, lam) - want) <= tol * want, (lam, p)
+
+
+@pytest.mark.parametrize("axes", [(15.0, 12.0, 10.0), (2.0, 1.5, 1.0), (10.0, 3.0, 1.0)])
+def test_I_for_n_2_classes_L_M_N_equal_carlson_rd_derivatives(axes):
+    # E_2^3 = s sqrt(s^2 - h^2), E_2^4 = s sqrt(s^2 - k^2) and
+    # E_2^5 = sqrt(s^2 - h^2) sqrt(s^2 - k^2), so with x, y, z = lambda^2,
+    # lambda^2 - h^2, lambda^2 - k^2 the integrals are -2/3 of dR_D(x, z, y)/dx,
+    # dR_D(x, y, z)/dx and dR_D(y, x, z)/dy.  Measured worst relative errors:
+    # 9.5e-15 for lambda in {a, 1.003k, 4a}, 7.2e-13 at 1.00003k (classes M, N)
+    mpmath = pytest.importorskip("mpmath")
+    sys = new_system(*axes)
+    forms = {"L": lambda x, y, z: mpmath.diff(lambda u: mpmath.elliprd(u, z, y), x),
+             "M": lambda x, y, z: mpmath.diff(lambda u: mpmath.elliprd(u, y, z), x),
+             "N": lambda x, y, z: mpmath.diff(lambda u: mpmath.elliprd(u, x, z), y)}
+    with mpmath.workdps(30):
+        h2, k2 = mpmath.mpf(sys.h2), mpmath.mpf(sys.k2)
+        for p, tag in ((3, "L"), (4, "M"), (5, "N")):
+            f = lame_function(sys, 2, p)
+            assert f.cls.tag == tag
+            for lam, tol in ((sys.a, 5e-14), (1.003 * sys.k, 5e-14),
+                             (1.00003 * sys.k, 2e-12), (4.0 * sys.a, 5e-14)):
+                x = mpmath.mpf(lam) ** 2
+                want = -2 * forms[tag](x, x - h2, x - k2) / 3
+                assert abs(eval_I(f, lam) - want) <= tol * want, (lam, tag)
