@@ -116,6 +116,12 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     or at lengths below ~1e-26) or its roots the coordinate ranges.  A
     non-finite coordinate raises ``RangeViolation``.
     """
+    return EllipsoidalPoint(*_cart_to_ell(sys, x, y, z))
+
+
+def _cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float):
+    """``cart_to_ell`` as the tuple (lam, mu, nu, s_lambda, s_mu, s_nu) of
+    the point's fields, for callers that need no point object."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
     h2, k2 = sys.h * sys.h, sys.k * sys.k
@@ -160,7 +166,7 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     # from |r| ~ 1.4e154 on, x^2 is inf, every root nan and so is err
     if not err <= _ROUND_TRIP_TOL:
         raise RoundTripFailure(f"round trip of {(x, y, z)} off by {err:.3e} (> 1e-6)")
-    return EllipsoidalPoint(lam=lam, mu=mu, nu=nu, s_lambda=sl, s_mu=sm, s_nu=sn)
+    return lam, mu, nu, sl, sm, sn
 
 
 def _cartesian(h2, k2, lam, mu, nu, s_lambda, s_mu, s_nu):

@@ -72,10 +72,13 @@ class HarmonicIndex:
 
 def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
     """E3 of the columns of ``b`` at the points, C-contiguous (points, columns):
-    products E(lam) E(mu) E(nu), in that order, equal to the scalar ones bit for bit."""
-    coords = np.array([(pt.lam, pt.mu, pt.nu, pt.s_mu, pt.s_nu) for pt in points],
-                      dtype=float).reshape(-1, 5)
-    E = _eval(sys, exps, b, coords.T[:3, :, None], coords[:, 3:4], coords[:, 4:], 0)
+    products E(lam) E(mu) E(nu), in that order, equal to the scalar ones bit
+    for bit.  ``points`` are EllipsoidalPoints or an (M, 6) array of their
+    fields lam, mu, nu, s_lambda, s_mu, s_nu."""
+    if not isinstance(points, np.ndarray):
+        points = np.array([(pt.lam, pt.mu, pt.nu, pt.s_lambda, pt.s_mu, pt.s_nu)
+                           for pt in points], dtype=float).reshape(-1, 6)
+    E = _eval(sys, exps, b, points.T[:3, :, None], points[:, 4:5], points[:, 5:], 0)
     return E[0] * E[1] * E[2]
 
 

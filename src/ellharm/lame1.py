@@ -193,8 +193,13 @@ def _leibniz(x, y):
 
 def _horner(t, b):
     """P(t) = sum_j b_j t^j, or P of each column of b, by numpy ``polyval``'s
-    operations in its order, in place: equal to ``polyval`` bit for bit."""
+    operations in its order, in place: equal to ``polyval`` bit for bit.  For
+    a matrix b, t is first copied out to the output shape: the steps then run
+    on contiguous arrays of one shape, not on a t broadcast along each row."""
     acc = b[-1] + t * 0
+    if b.ndim > 1:
+        t, t_points = np.empty_like(acc), t
+        np.copyto(t, t_points)
     for j in range(len(b) - 2, -1, -1):
         acc *= t
         acc += b[j]
@@ -202,9 +207,14 @@ def _horner(t, b):
 
 
 def _where(present, factor):
-    """A psi factor (value, derivatives) in the columns where its exponent
-    ``present`` is set, and the factor 1 elsewhere."""
+    """A psi factor (value, derivatives) where ``present`` is set, and the
+    exact factor 1 elsewhere."""
     return [np.where(present, x, one) for x, one in zip(factor, (1.0, 0.0, 0.0))]
+
+
+# the eight exponent codes e_s + 2 e_h + 4 e_k, and which of them hold each factor
+_CODE_WEIGHTS = np.array([1, 2, 4])
+_CODE_BITS = [(np.arange(8) & w) > 0 for w in _CODE_WEIGHTS]
 
 
 def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
@@ -214,11 +224,13 @@ def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
     E does not depend on ``nderiv``.
 
     ``b`` holds the coefficients of P, or an (m, F) matrix of F functions,
-    zero-padded at high degree, whose values lie on a trailing axis that s
-    and the signs broadcast against; the exponents are then ints or one per
-    column.  A factor a column lacks is the exact factor 1 and Horner's rule
-    adds only exact zeros for the padding, so every function's values equal
-    its own evaluation bit for bit."""
+    zero-padded at high degree, whose values lie on a trailing axis; s and
+    the signs then have a trailing axis of length 1, and the exponents are
+    a (3, F) array, one column per function.  psi is then formed on a
+    trailing axis of the eight exponent codes, with the exact factor 1 where
+    a code lacks a factor, and gathered onto the columns by code; Horner's
+    rule adds only exact zeros for the padding, so every function's values
+    equal its own evaluation bit for bit."""
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
@@ -227,13 +239,14 @@ def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
     out = [1.0, 0.0, 0.0][:nderiv + 1]
     if masked or e_s:
         factor = [s_arr, 1.0, 0.0][:nderiv + 1]
-        out = _leibniz(out, _where(e_s, factor) if masked else factor)
+        out = _leibniz(out, _where(_CODE_BITS[0], factor) if masked else factor)
+    s2 = s_arr * s_arr
     sgn = np.where(s_arr >= 0, 1.0, -1.0)
-    for present, semifocal2, octant_sign in (
-            (e_h, sys.h2, s_mu_sign), (e_k, sys.k2, s_nu_sign)):
+    for present, bits, semifocal2, octant_sign in (
+            (e_h, _CODE_BITS[1], sys.h2, s_mu_sign), (e_k, _CODE_BITS[2], sys.k2, s_nu_sign)):
         if not (masked or present):
             continue
-        w = s_arr * s_arr - semifocal2
+        w = s2 - semifocal2
         v = sgn * octant_sign * np.sqrt(np.abs(w))
         factor = [v]
         if nderiv:
@@ -241,8 +254,11 @@ def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
                 raise BranchPointDerivative(
                     "derivative unbounded at a branch point |s| = h or k")
             factor += [s_arr * np.sign(w) / v, -semifocal2 / v ** 3]
-        out = _leibniz(out, _where(present, factor) if masked else factor)
-    t = 1.0 - s_arr * s_arr / sys.h2
+        out = _leibniz(out, _where(bits, factor) if masked else factor)
+    if masked:
+        code = _CODE_WEIGHTS @ exps
+        out = [x.take(code, axis=-1) for x in out]
+    t = 1.0 - s2 / sys.h2
     P = [_horner(t, b)]
     if nderiv:
         tp = -2.0 * s_arr / sys.h2

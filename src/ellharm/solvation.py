@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
-from .coords import EllipsoidSystem, cart_to_ell
+from .coords import EllipsoidSystem, _cart_to_ell, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, RangeViolation, ValidationError
 from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
                         _interior_pass)
@@ -71,6 +72,11 @@ class DielectricModel:
     def __post_init__(self):
         if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
             raise ValueError("permittivities must be positive and finite")
+        # the reaction factor divides by eps1 * eps2 and scales by eps1 / eps2
+        low, high = float_info.min, float_info.max
+        if not (low <= self.eps1 * self.eps2 <= high and low <= self.eps1 / self.eps2 <= high):
+            raise ValueError(f"permittivities {self.eps1}, {self.eps2}: their product "
+                             "or ratio leaves the float64 range")
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,21 @@ class EnergyReport:
     N: int
 
 
+def _scaled_radius2(sys: EllipsoidSystem, x: float, y: float, z: float) -> float:
+    """x^2/a^2 + y^2/b^2 + z^2/c^2, or inf where a square leaves float range.
+
+    Python's ``** 2`` raises OverflowError there.  It is kept rather than
+    v * v, which rounds differently from libm's pow for about one finite
+    value in 1,300, so a point on the surface keeps its verdict."""
+    try:
+        return (x / sys.a) ** 2 + (y / sys.b) ** 2 + (z / sys.c) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _check_interior(sys: EllipsoidSystem, charges):
     for ch in charges:
-        val = (ch.x / sys.a) ** 2 + (ch.y / sys.b) ** 2 + (ch.z / sys.c) ** 2
-        if not val < 1.0:
+        if not _scaled_radius2(sys, ch.x, ch.y, ch.z) < 1.0:
             raise ChargeOutsideEllipsoid(
                 f"charge at {ch.position} not strictly inside the ellipsoid")
         if not math.isfinite(ch.q):
@@ -106,9 +123,10 @@ def _interior_terms(sys: EllipsoidSystem, charges, N: int,
     _check_interior(sys, charges)
     table = _checked_table(sys, N, table)
     H = (N + 1) ** 2
+    rows = np.array([_cart_to_ell(sys, ch.x, ch.y, ch.z) for ch in charges],
+                    dtype=float).reshape(-1, 6)
     qE3 = np.array([ch.q for ch in charges], dtype=float) @ _interior_pass(
-        sys, table.exponents[:, :H], table.coeffs[:, :H],
-        [cart_to_ell(sys, ch.x, ch.y, ch.z) for ch in charges])
+        sys, table.exponents[:, :H], table.coeffs[:, :H], rows)
     return table, qE3, table.prefactor[:H] * qE3
 
 
@@ -130,7 +148,8 @@ def _columns(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
 
 def _reaction_factor(diel: DielectricModel, surface) -> np.ndarray:
     """R in B = R G by column of ``surface`` (rows E, E', F, F' at lambda = a);
-    exact zeros when eps1 == eps2, also where eps1 * eps2 underflows to 0.
+    exact zeros when eps1 == eps2 (``DielectricModel`` keeps eps1 * eps2 and
+    eps1 / eps2 in float64 range).
 
     The denominator D = 1 - t (E'/E)/(F'/F), t = eps1/eps2, is at least 1:
     D = 0 at a t > 0 is the flux condition of the (n, p) mode u = E3 inside,
@@ -180,7 +199,7 @@ def reaction_potential(sys: EllipsoidSystem, B: dict, point,
     """psi(r) = sum B_n^p E3_n^p(r) at a Cartesian point inside the ellipsoid,
     up to a 1e-12 slack for rounded surface points (else RangeViolation)."""
     x, y, z = point
-    if (x / sys.a) ** 2 + (y / sys.b) ** 2 + (z / sys.c) ** 2 > 1.0 + 1e-12:
+    if _scaled_radius2(sys, x, y, z) > 1.0 + 1e-12:
         raise RangeViolation(f"point {(x, y, z)} is outside the ellipsoid")
     keys = sorted(B)
     pts = [cart_to_ell(sys, x, y, z)]

@@ -233,6 +233,25 @@ def test_far_point_or_cancelling_semiaxes_exit_with_a_json_error(capsys, args, c
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+@pytest.mark.parametrize("charges, extra, error, message", [
+    # (x / a) ** 2 overflows
+    ("1 1 1 1\n1e160 0 0 1\n", [], "ChargeOutsideEllipsoid", "not strictly inside"),
+    # eps1 * eps2 underflows to 0
+    ("1 1 1 1\n", ["--eps1", "1e-200", "--eps2", "2e-200"], "ValueError", "float64 range"),
+], ids=["far-charge", "tiny-permittivities"])
+def test_far_charge_or_tiny_permittivities_exit_2_with_one_json_line(
+        tmp_path, charges, extra, error, message):
+    (tmp_path / "charges.txt").write_text(charges)
+    res = run_cli(["--semiaxes", "15,12,10", "solvation", "--charges",
+                   str(tmp_path / "charges.txt"), "--order", "2", *extra])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error and message in err["message"]
+
+
 def test_overflowing_lame_matrix_exits_2_with_one_json_line():
     # build_tridiagonal's entries scale with h^2, so lower*upper overflows
     res = run_cli(["lame", "--semiaxes", "1e100,5e99,1e99", "--degree", "4", "--p", "1",

@@ -63,8 +63,9 @@ def test_traced_names_resolve():
 def test_eval_lame_bound_where_the_tracer_patches_it():
     # perfbench's tracer wraps a layer function at every module binding that
     # holds it: its tracer test checks eval_lame on these modules, and its
-    # coords.cart_to_ell counter sees every transform only if each caller
-    # binds the one function
+    # coords.cart_to_ell counter sees every cart_to_ell call only if each
+    # caller binds the one function (the charge transforms of
+    # solvation_energy call the private core and count as its self time)
     for name, modules in [
             ("eval_lame", ("ellharm.lame1", "ellharm", "ellharm.lame2", "ellharm.harmonics")),
             ("cart_to_ell", ("ellharm.coords", "ellharm", "ellharm.solvation",

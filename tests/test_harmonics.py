@@ -131,6 +131,33 @@ def test_all_column_pass_equals_per_function_eval(geometry, request,
                         (n, p, nderiv, d)
 
 
+def test_code_gathered_psi_equals_per_function_eval_bitwise(table12_fig3):
+    # the all-column pass forms psi once per exponent code e_s + 2 e_h + 4 e_k;
+    # each of the eight codes, every octant sign pair and the coordinate
+    # planes s = +-0, +-h, +-k, where a radical factor or the s factor is a
+    # signed zero, give each function's own bits (derivatives off the branch
+    # points |s| = h, k, where they are unbounded)
+    table = table12_fig3
+    sys = table.system
+    h, k = sys.h, sys.k
+    base = [0.0, 0.4 * h, h, h + 0.5 * (k - h), k, 1.5 * k]
+    codes = {e_s + 2 * e_h + 4 * e_k for e_s, e_h, e_k in table.exponents.T.tolist()}
+    assert codes == set(range(8))
+    for nderiv in (0, 1):
+        s = [f * x for x in base for f in (1.0, -1.0)
+             if not (nderiv and x in (h, k))]
+        grid = [(x, sm, sn) for x in s for sm in (1, -1) for sn in (1, -1)]
+        s, sm, sn = (np.array(col, dtype=float) for col in zip(*grid))
+        got = _eval(sys, table.exponents, table.coeffs,
+                    s[:, None], sm[:, None], sn[:, None], nderiv)
+        got = got if nderiv else (got,)
+        for (n, p), f in table.functions.items():
+            ref = _eval(sys, psi_exponents(f.cls.tag, n), f.coeffs, s, sm, sn, nderiv)
+            ref = ref if nderiv else (ref,)
+            for d in range(nderiv + 1):
+                assert got[d][:, n * n + p - 1].tobytes() == ref[d].tobytes(), (n, p, d)
+
+
 def test_table_arrays_are_read_only(table12_fig3):
     t = table12_fig3
     for arr in (t.exponents, t.coeffs, t.prefactor, t.surface):

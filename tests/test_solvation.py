@@ -32,6 +32,10 @@ def test_charge_outside_rejected(sys215):
     with pytest.raises(ChargeOutsideEllipsoid):
         # on the surface counts as outside
         source_coefficients(sys215, [PointCharge(2.0, 0, 0, 1.0)], 2)
+    # so far out that (x / a) ** 2 overflows
+    for far in [PointCharge(1e160, 0, 0, 1.0), PointCharge(0.1, -1e200, 1e200, 1.0)]:
+        with pytest.raises(ChargeOutsideEllipsoid):
+            solvation_energy(sys215, [PointCharge(0.2, 0.0, 0.0, 1.0), far], WATER, N=2)
 
 
 @pytest.mark.parametrize("charge", [
@@ -48,6 +52,17 @@ def test_non_finite_charge_rejected(sys215, charge):
 def test_dielectric_model_rejects_non_positive_or_non_finite(eps1, eps2):
     with pytest.raises(ValueError):
         DielectricModel(eps1, eps2)
+
+
+@pytest.mark.parametrize("eps1, eps2", [(1e-200, 2e-200), (1e200, 2e200),
+                                        (1e-170, 1e170), (1e170, 1e-170)])
+def test_dielectric_model_rejects_products_or_ratios_outside_float64(sys215, eps1, eps2):
+    # the reaction factor divides by eps1 * eps2 and scales by eps1 / eps2
+    with pytest.raises(ValueError, match="float64 range"):
+        DielectricModel(eps1, eps2)
+    small = DielectricModel(1e-150, 2e-150)
+    report = solvation_energy(sys215, [PointCharge(0.2, 0.1, 0.0, 1.0)], small, N=2)
+    assert math.isfinite(report.energy_kcal) and report.energy_kcal < 0.0
 
 
 def test_dipole_sources_vanish_at_origin(sys215):
@@ -282,6 +297,30 @@ def test_table_energy_equals_per_function_reference():
         assert got == _reference_energy(sys, charges, WATER, 12, table, surface), count
 
 
+def _scan_charges(seed, count, axes):
+    """``count`` charges uniform in the 0.65-scaled ellipsoid, |q| in [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, 3))
+    v *= 0.65 * rng.random((count, 1)) ** (1.0 / 3.0) / np.linalg.norm(v, axis=1, keepdims=True)
+    q = rng.choice((-1.0, 1.0), count) * rng.uniform(0.2, 1.0, count)
+    return [PointCharge(*(float(x) for x in r * axes), float(qi)) for r, qi in zip(v, q)]
+
+
+def test_charge_scan_energies_keep_their_bits(sys_fig3):
+    # kcal/mol energies recorded before the interior pass gathered psi by
+    # exponent code; q^T E3 goes through BLAS, so another numpy build may
+    # sum it in another order
+    table = build_normalization_table(sys_fig3, 12)
+    axes = (sys_fig3.a, sys_fig3.b, sys_fig3.c)
+    for seed, count, energy_hex in [
+            (1, 1, "-0x1.9d5afc09b8c2ap+0"), (2, 3, "-0x1.84c464bdbff0cp+1"),
+            (3, 8, "-0x1.d9f1f3acb0083p+5"), (4, 16, "-0x1.19b71af54d42cp+3"),
+            (5, 30, "-0x1.eaf6aa9dc8e66p+2")]:
+        report = solvation_energy(sys_fig3, _scan_charges(seed, count, axes), WATER,
+                                  N=12, table=table)
+        assert report.energy_kcal.hex() == energy_hex, (seed, count)
+
+
 def test_reaction_potential_with_and_without_table():
     sys, charges = _fig3_setup()
     table = build_normalization_table(sys, 12)
@@ -300,7 +339,7 @@ def test_reaction_potential_rejects_points_outside_the_ellipsoid():
     sys, charges = _fig3_setup()
     table = build_normalization_table(sys, 4)
     B = expansion_coefficients(sys, charges, WATER, 4, table=table).B
-    for xyz in [(30.0, 4.0, 5.0), (15.0 * (1.0 + 1e-9), 0.0, 0.0)]:
+    for xyz in [(30.0, 4.0, 5.0), (15.0 * (1.0 + 1e-9), 0.0, 0.0), (1e160, 0.0, 0.0)]:
         with pytest.raises(RangeViolation):
             reaction_potential(sys, B, xyz, table=table)
     # surface points pushed outward by rounding, here 1e-13 relative, still count
