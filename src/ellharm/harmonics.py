@@ -70,15 +70,18 @@ class HarmonicIndex:
             raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
 
 
-def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
-    """E3 of the columns of ``b`` at the points, C-contiguous (points, columns):
-    products E(lam) E(mu) E(nu), in that order, equal to the scalar ones bit
-    for bit.  ``points`` are EllipsoidalPoints or an (M, 6) array of their
-    fields lam, mu, nu, s_lambda, s_mu, s_nu."""
-    if not isinstance(points, np.ndarray):
-        points = np.array([(pt.lam, pt.mu, pt.nu, pt.s_lambda, pt.s_mu, pt.s_nu)
-                           for pt in points], dtype=float).reshape(-1, 6)
-    E = _eval(sys, exps, b, points.T[:3, :, None], points[:, 4:5], points[:, 5:], 0)
+def _point_rows(points) -> np.ndarray:
+    """The (M, 6) input of ``_interior_pass``: each point's fields lam, mu,
+    nu, s_lambda, s_mu, s_nu, as ``coords._cart_to_ell`` returns them."""
+    return np.array([(pt.lam, pt.mu, pt.nu, pt.s_lambda, pt.s_mu, pt.s_nu)
+                     for pt in points], dtype=float).reshape(-1, 6)
+
+
+def _interior_pass(sys: EllipsoidSystem, exps, b, rows: np.ndarray) -> np.ndarray:
+    """E3 of the columns of ``b`` at the points of the (M, 6) array ``rows``
+    (see ``_point_rows``), C-contiguous (points, columns): products E(lam)
+    E(mu) E(nu), in that order, equal to the scalar ones bit for bit."""
+    E = _eval(sys, exps, b, rows.T[:3, :, None], rows[:, 4:5], rows[:, 5:], 0)
     return E[0] * E[1] * E[2]
 
 
@@ -86,14 +89,14 @@ def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """E3_n^p at the point: triple product of first-kind evaluations."""
     f = lame_function(sys, idx.n, idx.p)
-    return float(_interior_pass(sys, *_padded([f]), [point])[0, 0])
+    return float(_interior_pass(sys, *_padded([f]), _point_rows([point]))[0, 0])
 
 
 def exterior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """F3_n^p at an exterior point (|lambda| > k required by eval_I)."""
     f = lame_function(sys, idx.n, idx.p)
-    E3 = float(_interior_pass(sys, *_padded([f]), [point])[0, 0])
+    E3 = float(_interior_pass(sys, *_padded([f]), _point_rows([point]))[0, 0])
     return (2 * idx.n + 1) * E3 * eval_I(f, abs(point.lam))
 
 
@@ -234,7 +237,7 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
     H = (N + 1) ** 2
     keys = list(table.functions)[:H]
     exps, coeffs = table.exponents[:, :H], table.coeffs[:, :H]
-    E3_src, E3_fld = _interior_pass(sys, exps, coeffs, [src, fld])
+    E3_src, E3_fld = _interior_pass(sys, exps, coeffs, _point_rows([src, fld]))
     I = np.array([eval_I(table.functions[key], abs(fld.lam)) for key in keys])
     width = 2 * np.arange(N + 1) + 1   # degree n has 2n + 1 columns
     F3 = np.repeat(width, width) * E3_fld * I

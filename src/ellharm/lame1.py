@@ -229,8 +229,9 @@ def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
     a (3, F) array, one column per function.  psi is then formed on a
     trailing axis of the eight exponent codes, with the exact factor 1 where
     a code lacks a factor, and gathered onto the columns by code; Horner's
-    rule adds only exact zeros for the padding, so every function's values
-    equal its own evaluation bit for bit."""
+    rule adds only exact zeros for the padding, so every function's E and
+    E' equal its own evaluation bit for bit (E'' too, but for the sign of
+    a zero at s = -0)."""
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)

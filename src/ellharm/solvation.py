@@ -31,7 +31,7 @@ import numpy as np
 from .coords import EllipsoidSystem, _cart_to_ell, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, RangeViolation, ValidationError
 from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
-                        _interior_pass)
+                        _interior_pass, _point_rows)
 from .lame1 import N_MAX_DEFAULT
 
 __all__ = [
@@ -72,9 +72,11 @@ class DielectricModel:
     def __post_init__(self):
         if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
             raise ValueError("permittivities must be positive and finite")
-        # the reaction factor divides by eps1 * eps2 and scales by eps1 / eps2
+        # the reaction factor divides by eps1 * eps2 and scales by eps1 / eps2,
+        # except at eps1 == eps2, where it is exactly zero
         low, high = float_info.min, float_info.max
-        if not (low <= self.eps1 * self.eps2 <= high and low <= self.eps1 / self.eps2 <= high):
+        if self.eps1 != self.eps2 and not (low <= self.eps1 * self.eps2 <= high
+                                           and low <= self.eps1 / self.eps2 <= high):
             raise ValueError(f"permittivities {self.eps1}, {self.eps2}: their product "
                              "or ratio leaves the float64 range")
 
@@ -148,8 +150,8 @@ def _columns(sys: EllipsoidSystem, keys, table: NormalizationTable | None):
 
 def _reaction_factor(diel: DielectricModel, surface) -> np.ndarray:
     """R in B = R G by column of ``surface`` (rows E, E', F, F' at lambda = a);
-    exact zeros when eps1 == eps2 (``DielectricModel`` keeps eps1 * eps2 and
-    eps1 / eps2 in float64 range).
+    exact zeros when eps1 == eps2 (otherwise ``DielectricModel`` keeps
+    eps1 * eps2 and eps1 / eps2 in float64 range).
 
     The denominator D = 1 - t (E'/E)/(F'/F), t = eps1/eps2, is at least 1:
     D = 0 at a t > 0 is the flux condition of the (n, p) mode u = E3 inside,
@@ -202,9 +204,9 @@ def reaction_potential(sys: EllipsoidSystem, B: dict, point,
     if _scaled_radius2(sys, x, y, z) > 1.0 + 1e-12:
         raise RangeViolation(f"point {(x, y, z)} is outside the ellipsoid")
     keys = sorted(B)
-    pts = [cart_to_ell(sys, x, y, z)]
+    rows = _point_rows([cart_to_ell(sys, x, y, z)])
     table, cols = _columns(sys, keys, table)
-    E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], pts)[0]
+    E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], rows)[0]
     return float(E3 @ np.array([B[key] for key in keys]))
 
 

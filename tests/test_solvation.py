@@ -63,6 +63,10 @@ def test_dielectric_model_rejects_products_or_ratios_outside_float64(sys215, eps
     small = DielectricModel(1e-150, 2e-150)
     report = solvation_energy(sys215, [PointCharge(0.2, 0.1, 0.0, 1.0)], small, N=2)
     assert math.isfinite(report.energy_kcal) and report.energy_kcal < 0.0
+    # equal permittivities never reach the division, so their product may underflow
+    equal = DielectricModel(1e-160, 1e-160)
+    report = solvation_energy(sys215, [PointCharge(0.2, 0.1, 0.0, 1.0)], equal, N=2)
+    assert report.energy_kcal == 0.0
 
 
 def test_dipole_sources_vanish_at_origin(sys215):
