@@ -103,6 +103,8 @@ _CHARACTERS = np.prod(_SIGNS[None, :, :] ** _BITS[:, None, :], axis=2)
 def icosphere(refinement: int):
     """Unit-sphere triangulation: icosahedron with ``refinement`` rounds of
     edge-midpoint subdivision and re-projection; 20 * 4^refinement faces."""
+    if refinement < 0:
+        raise ValueError("refinement must be >= 0")
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -184,8 +186,6 @@ def _mesh_from_axes(axes, refinement: int) -> TriMesh:
 
 
 def mesh_ellipsoid(sys: EllipsoidSystem, refinement: int) -> TriMesh:
-    if refinement < 0:
-        raise ValueError("refinement must be >= 0")
     return _mesh_from_axes((sys.a, sys.b, sys.c), refinement)
 
 
@@ -210,9 +210,13 @@ def _factored(mesh: TriMesh, diag: float):
     reps = np.flatnonzero(m.min(axis=0) == np.arange(mesh.panel_count))
     images = m[:, reps]                                   # (8, R)
     A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, diag, reps)
-    A = A[:, images]                                      # (R, 8, R)
-    B = np.tensordot(_CHARACTERS, A, axes=([1], [1]))
+    # G[g, r, r'] = A[r, m_g[r']], gathered in the order that tensordot
+    # contracts over, so it reshapes G without a copy; A and G are dropped
+    # once used, which keeps the build's peak near the inverses it keeps
+    G = A[np.arange(len(reps))[None, :, None], images[:, None, :]]
     del A
+    B = np.tensordot(_CHARACTERS, G, axes=([1], [0]))
+    del G
     # chi is trivial on r's stabilizer unless some g fixing r has chi(g) = -1
     nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
     inverses = []

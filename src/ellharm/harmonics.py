@@ -163,6 +163,8 @@ class NormalizationTable:
     coeffs: np.ndarray     # (m, columns) zero-padded coefficients of P
     prefactor: np.ndarray  # 4 pi / ((2n + 1) gamma) by column
     surface: np.ndarray    # (4, columns) E, E', F, F' at lambda = a
+    # solvation's reaction factor by column for one (eps1, eps2) (see _reaction_factors)
+    _reactions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_normalization_table(sys: EllipsoidSystem, N: int) -> NormalizationTable:

@@ -166,13 +166,28 @@ def _reaction_factor(diel: DielectricModel, surface) -> np.ndarray:
     return (e1 - e2) / (e1 * e2) * (F / E) / (1.0 - (e1 / e2) * (dE / E) / (dF / F))
 
 
+def _reaction_factors(diel: DielectricModel, table: NormalizationTable) -> np.ndarray:
+    """``_reaction_factor`` over all of the table's columns, read-only.  Built
+    on first use and kept on the table for the last (eps1, eps2) it was asked
+    for; R is elementwise, so any slice of it has the bits of R formed from
+    that slice of ``table.surface``."""
+    key = (diel.eps1, diel.eps2)
+    R = table._reactions.get(key)
+    if R is None:
+        R = _reaction_factor(diel, table.surface)
+        R.flags.writeable = False
+        table._reactions.clear()
+        table._reactions[key] = R
+    return R
+
+
 def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
     """B_n^p from G_n^p; identically zero when eps1 == eps2."""
     if diel.eps1 == diel.eps2:
         return dict.fromkeys(G, 0.0)
     table, cols = _columns(sys, G, table)
-    R = _reaction_factor(diel, table.surface[:, cols])
+    R = _reaction_factors(diel, table)[cols]
     return {key: r * g for (key, g), r in zip(G.items(), R.tolist())}
 
 
@@ -215,7 +230,7 @@ def solvation_energy(sys: EllipsoidSystem, charges, diel: DielectricModel,
                      table: NormalizationTable | None = None) -> EnergyReport:
     """Solvation free energy (1/2) sum_k q_k psi(r_k) = (1/2) (q^T E3) B."""
     table, qE3, G = _interior_terms(sys, charges, N, table)
-    B = _reaction_factor(diel, table.surface[:, :len(G)]) * G
+    B = _reaction_factors(diel, table)[:len(G)] * G
     energy = 0.5 * float(qE3 @ B)
     return EnergyReport(energy_kcal=energy * KCAL_PER_E2_PER_ANGSTROM,
                         energy_gaussian=energy, N=N)

@@ -325,6 +325,32 @@ def test_charge_scan_energies_keep_their_bits(sys_fig3):
         assert report.energy_kcal.hex() == energy_hex, (seed, count)
 
 
+def test_reaction_factor_kept_on_the_table_changes_no_bit(sys_fig3):
+    # energies and B equal the ones formed from the sliced surface rows, as
+    # before the factor was kept: cold, warm, and after switching the
+    # permittivities away and back; the table keeps one pair
+    from ellharm.solvation import _interior_terms, _reaction_factor
+    table = build_normalization_table(sys_fig3, 12)
+    charges = _scan_charges(7, 8, (15.0, 12.0, 10.0))
+    other = DielectricModel(2.0, 80.0)
+    want = {}
+    for diel in (WATER, other):
+        for N in (12, 5):
+            _, qE3, G = _interior_terms(sys_fig3, charges, N, table)
+            B = _reaction_factor(diel, table.surface[:, :len(G)]) * G
+            want[diel, N] = (0.5 * float(qE3 @ B), B.tolist())
+    assert not table._reactions
+    for diel in (WATER, WATER, other, WATER):
+        for N in (12, 5):
+            energy, B = want[diel, N]
+            assert solvation_energy(sys_fig3, charges, diel, N=N,
+                                    table=table).energy_gaussian == energy
+            G = source_coefficients(sys_fig3, charges, N, table=table)
+            assert list(reaction_coefficients(G, sys_fig3, diel, table=table).values()) == B
+            assert len(table._reactions) == 1
+    assert "_reactions" not in repr(table)
+
+
 def test_reaction_potential_with_and_without_table():
     sys, charges = _fig3_setup()
     table = build_normalization_table(sys, 12)
