@@ -365,14 +365,10 @@ def main(argv=None):
     try:
         args.func(args)
         return EXIT_OK
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, NumericalError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, _sys.stderr)
         _sys.stderr.write("\n")
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, _sys.stderr)
-        _sys.stderr.write("\n")
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

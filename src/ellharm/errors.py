@@ -64,10 +64,5 @@ class RoundTripFailure(NumericalError):
     verification tolerance (known accuracy limit of the direct transform)."""
 
 
-class ResonantDenominator(NumericalError):
-    """Kept for the API; nothing raises it, as the reaction denominator is at
-    least 1 for positive permittivities (``solvation._reaction_factor``)."""
-
-
 class SingularSystem(NumericalError):
     """The boundary-element system is singular."""

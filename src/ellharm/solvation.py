@@ -108,27 +108,25 @@ def _scaled_radius2(sys: EllipsoidSystem, x: float, y: float, z: float) -> float
         return math.inf
 
 
-def _check_interior(sys: EllipsoidSystem, charges):
+def _interior_terms(sys: EllipsoidSystem, charges, N: int,
+                    table: NormalizationTable | None):
+    """The table, q^T E3 (E3 the C-contiguous charges x columns matrix) and
+    the source coefficients G, over the table's first (N + 1)^2 columns.  The
+    table is checked first, then the charges are read once, in order."""
+    table = _checked_table(sys, N, table)
+    rows, q = [], []
     for ch in charges:
         if not _scaled_radius2(sys, ch.x, ch.y, ch.z) < 1.0:
             raise ChargeOutsideEllipsoid(
                 f"charge at {ch.position} not strictly inside the ellipsoid")
         if not math.isfinite(ch.q):
             raise ValidationError(f"charge at {ch.position} has non-finite q={ch.q}")
-
-
-def _interior_terms(sys: EllipsoidSystem, charges, N: int,
-                    table: NormalizationTable | None):
-    """The table, q^T E3 (E3 the C-contiguous charges x columns matrix) and
-    the source coefficients G, over the table's first (N + 1)^2 columns."""
-    charges = list(charges)
-    _check_interior(sys, charges)
-    table = _checked_table(sys, N, table)
+        rows.append(_cart_to_ell(sys, ch.x, ch.y, ch.z))
+        q.append(ch.q)
     H = (N + 1) ** 2
-    rows = np.array([_cart_to_ell(sys, ch.x, ch.y, ch.z) for ch in charges],
-                    dtype=float).reshape(-1, 6)
-    qE3 = np.array([ch.q for ch in charges], dtype=float) @ _interior_pass(
-        sys, table.exponents[:, :H], table.coeffs[:, :H], rows)
+    qE3 = np.array(q, dtype=float) @ _interior_pass(
+        sys, table.exponents[:, :H], table.coeffs[:, :H],
+        np.array(rows, dtype=float).reshape(-1, 6))
     return table, qE3, table.prefactor[:H] * qE3
 
 
@@ -183,9 +181,7 @@ def _reaction_factors(diel: DielectricModel, table: NormalizationTable) -> np.nd
 
 def reaction_coefficients(G: dict, sys: EllipsoidSystem, diel: DielectricModel,
                           table: NormalizationTable | None = None) -> dict:
-    """B_n^p from G_n^p; identically zero when eps1 == eps2."""
-    if diel.eps1 == diel.eps2:
-        return dict.fromkeys(G, 0.0)
+    """B_n^p from G_n^p; zero when eps1 == eps2."""
     table, cols = _columns(sys, G, table)
     R = _reaction_factors(diel, table)[cols]
     return {key: r * g for (key, g), r in zip(G.items(), R.tolist())}

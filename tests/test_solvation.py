@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,6 +133,19 @@ def test_reaction_denominator_cannot_vanish(semiaxes, N):
         assert np.all(1.0 - (e1 / e2) * (dE / E) / (dF / F) >= 1.0)
 
 
+@pytest.mark.parametrize("semiaxes, N", [((15.0, 12.0, 10.0), 20), ((10.0, 3.0, 1.0), 10),
+                                         ((2.0, 1.5, 1.0), 16), ((100.0, 2.0, 1.0), 8)])
+def test_every_energy_term_has_the_sign_of_eps1_minus_eps2(semiaxes, N):
+    # the energy is 1/2 sum over columns of (q^T E3)^2 R prefactor; F/E =
+    # (2n+1) I > 0, the denominator is at least 1 and the prefactor
+    # 4 pi/((2n+1) gamma) > 0, so R prefactor has the sign of eps1 - eps2
+    from ellharm.solvation import _reaction_factor
+    table = build_normalization_table(new_system(*semiaxes), N)
+    for e1, e2 in ((4.0, 80.0), (80.0, 4.0), (1.0, 1.0001)):
+        weight = _reaction_factor(DielectricModel(e1, e2), table.surface) * table.prefactor
+        assert np.all(np.sign(weight) == np.sign(e1 - e2)), (e1, e2)
+
+
 def test_exterior_coefficients_dual_formula(sys215):
     # C = G/eps1 + B E/F must also satisfy C = G/eps2 + (eps1/eps2)(E'/F') B
     charges = [PointCharge(0.4, 0.3, -0.2, 1.0)]
@@ -158,12 +172,13 @@ def test_empty_source_coefficients_give_empty_results(sys215):
 
 
 def test_coefficient_key_naming_no_harmonic_rejected(sys215):
-    # (1, 4) would otherwise read column 4, which holds (2, 1)
+    # (1, 4) would otherwise read column 4, which holds (2, 1); equal
+    # permittivities check the keys like any others
     coeffs = {(2, 1): 1.0, (1, 4): 1.0}
     table = build_normalization_table(sys215, 2)
-    for t in (None, table):
-        for call in (lambda: reaction_coefficients(coeffs, sys215, WATER, table=t),
-                     lambda: exterior_coefficients(coeffs, coeffs, sys215, WATER, table=t),
+    for t, diel in itertools.product((None, table), (WATER, DielectricModel(4.0, 4.0))):
+        for call in (lambda: reaction_coefficients(coeffs, sys215, diel, table=t),
+                     lambda: exterior_coefficients(coeffs, coeffs, sys215, diel, table=t),
                      lambda: reaction_potential(sys215, coeffs, (0.1, 0.2, 0.3), table=t)):
             with pytest.raises(OrderOutOfRange, match=r"\(1, 4\)"):
                 call()
@@ -185,6 +200,18 @@ def test_charges_read_once_give_the_list_result(sys215, once):
     assert solvation_energy(sys215, once(charges), WATER, N=4) == want
     assert source_coefficients(sys215, once(charges), 4) == \
         source_coefficients(sys215, charges, 4)
+
+
+def test_charges_read_once_stop_at_the_first_outside_one(sys215):
+    def charges():
+        yield PointCharge(0.2, 0.1, 0.0, 1.0)
+        yield PointCharge(2.5, 0.0, 0.0, 1.0)
+        raise AssertionError("read past the first charge outside the ellipsoid")
+
+    with pytest.raises(ChargeOutsideEllipsoid):
+        solvation_energy(sys215, charges(), WATER, N=2)
+    with pytest.raises(ChargeOutsideEllipsoid):
+        source_coefficients(sys215, charges(), 2)
 
 
 def test_energy_sign_and_units(sys215):
@@ -211,6 +238,39 @@ def test_born_limit_convergence():
         devs.append(abs(e - exact))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] <= 0.01 * abs(exact)
+
+
+def _kirkwood_energy(r, N, diel):
+    """Kirkwood's reaction energy (kcal/mol) of a unit charge at distance r
+    from the centre of a unit dielectric sphere (J. Chem. Phys. 2, 351, 1934),
+    truncated at l <= N."""
+    e1, e2 = diel.eps1, diel.eps2
+    return 0.5 * KCAL_PER_E2_PER_ANGSTROM * sum(
+        (e1 - e2) * (l + 1) / (e1 * (l * e1 + (l + 1) * e2)) * r ** (2 * l)
+        for l in range(N + 1))
+
+
+def test_near_sphere_energies_tend_to_kirkwood():
+    # the degree-n ellipsoidal harmonics span the degree-n harmonic
+    # polynomials, so on 1+d, 1+d/5, 1+d/10 the N-truncated energy tends to
+    # Kirkwood's N-truncated series as d -> 0; measured: the relative
+    # deviation is -0.408 to -0.996 times d, and each tenfold drop in d
+    # divides it by 10 within 0.18%
+    positions = [(0.3, 0.2, 0.1), (0.0, 0.0, 0.5), (0.4, -0.3, 0.2)]
+    deltas = (1e-3, 1e-4, 1e-5, 1e-6)
+    devs = {}
+    for d in deltas:
+        sys = new_system(1.0 + d, 1.0 + d / 5.0, 1.0 + d / 10.0)
+        table = build_normalization_table(sys, 12)
+        for pos in positions:
+            for N in (4, 12):
+                e = solvation_energy(sys, [PointCharge(*pos, 1.0)], WATER, N=N,
+                                     table=table).energy_kcal
+                exact = _kirkwood_energy(math.hypot(*pos), N, WATER)
+                devs.setdefault((pos, N), []).append((e - exact) / exact)
+    for key, dev in devs.items():
+        assert all(-1.0 < x / d < -0.4 for x, d in zip(dev, deltas)), (key, dev)
+        assert all(abs(a / b / 10.0 - 1.0) < 2e-3 for a, b in zip(dev, dev[1:])), (key, dev)
 
 
 def test_truncation_energies_settle():
