@@ -22,8 +22,8 @@ eight coordinate sign flips, so the collocation matrix commutes with eight
 panel permutations and ``solve_bem`` splits it into eight dense blocks, one
 per character of that group, from the matrix rows of one panel per orbit.
 The blocks depend only on the mesh and the permittivities, so their inverses
-are computed once and kept on the mesh: every further charge set solved on
-it costs a right-hand side and eight matrix-vector products.
+are computed once, as one stack, and kept on the mesh: every further charge
+set solved on it costs a right-hand side and one stacked matrix-vector product.
 """
 
 from __future__ import annotations
@@ -197,12 +197,10 @@ def mesh_sphere(radius: float, refinement: int) -> TriMesh:
 
 def _factored(mesh: TriMesh, diag: float):
     """The mesh's split collocation operator for the diagonal value ``diag``:
-    ``(images, inverses, scatter)``, where ``images`` is the (8, R) array of
-    each orbit representative's mirror images, ``inverses`` holds for each
-    character chi the pair (keep, inverse of B_chi[keep, keep]) of
-    ``solve_bem``'s derivation, and ``scatter`` lists the panels
-    ``images[:, keep]`` of all eight characters in turn.  Built on first use
-    and kept on the mesh for the last ``diag`` it was asked for."""
+    ``(images, inverses)``, the (8, R) array of each orbit representative's
+    mirror images and the read-only (8, R, R) stack of ``solve_bem``'s blocks
+    B_chi, inverted.  Built on first use and kept on the mesh for the last
+    ``diag`` it was asked for."""
     cached = mesh._factors.get(diag)
     if cached is not None:
         return cached
@@ -211,26 +209,26 @@ def _factored(mesh: TriMesh, diag: float):
     images = m[:, reps]                                   # (8, R)
     A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, diag, reps)
     # G[g, r, r'] = A[r, m_g[r']], gathered in the order that tensordot
-    # contracts over, so it reshapes G without a copy; A and G are dropped
+    # contracts over, so it reshapes G without a copy; A, G and B are dropped
     # once used, which keeps the build's peak near the inverses it keeps
     G = A[np.arange(len(reps))[None, :, None], images[:, None, :]]
     del A
     B = np.tensordot(_CHARACTERS, G, axes=([1], [0]))
     del G
-    # chi is trivial on r's stabilizer unless some g fixing r has chi(g) = -1
-    nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
-    inverses = []
-    for chi, Bc, skip in zip(_CHARACTERS, B, nontrivial):
-        keep = np.flatnonzero(~skip)
-        try:
-            inverses.append((keep, np.linalg.inv(Bc[np.ix_(keep, keep)])))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"the collocation block of character {chi.tolist()} "
-                                 f"is singular at {mesh.panel_count} panels") from exc
-    scatter = np.concatenate([images[:, keep].ravel() for keep, _ in inverses])
+    # the (chi, r) where chi vanishes: some g fixing r has chi(g) = -1
+    chi, r = np.nonzero(((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1))
+    B[chi, r, :] = B[chi, :, r] = 0.0
+    B[chi, r, r] = 1.0
+    try:
+        inverses = np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"a block is singular at {mesh.panel_count} panels") from exc
+    del B
+    inverses[chi, r, :] = 0.0
+    inverses.flags.writeable = False
     mesh._factors.clear()
-    mesh._factors[diag] = images, inverses, scatter
-    return images, inverses, scatter
+    mesh._factors[diag] = images, inverses
+    return images, inverses
 
 
 def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
@@ -255,16 +253,18 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
 
     and adding chi(g) y[r'] to sigma at m_g[r'] for every g puts
     |stab r'| chi(g) y[r'] there.  So only the representatives' rows of A
-    are assembled, R x T entries (R = 664 at T = 5120), and eight blocks of
-    at most R rows are solved in place of one T x T system.
+    are assembled, R x T entries (R = 664 at T = 5120), and eight R x R
+    blocks are solved in place of one T x T system.  They are kept as one
+    (8, R, R) stack: where chi vanishes on r, row and column r of B_chi are
+    the identity's, and row r of its inverse is zeroed, so y[r] = 0 there.
 
     The blocks depend on the mesh and on the diagonal value
     2 pi (eps1 + eps2)/(eps2 - eps1) alone, not on the charges.  So the
-    first solve inverts them and keeps the inverses on the mesh, for one
-    diagonal value at a time (~26 MB at 5120 panels); every solve, the first
-    included, then applies them: one right-hand side, eight matrix-vector
-    products, one scatter and the energy sum.  Results do not depend on what
-    the mesh holds.  A singular block raises ``SingularSystem``.
+    first solve inverts the stack and keeps it on the mesh, for one
+    diagonal value at a time (~28 MB at 5120 panels); every solve then
+    applies it: one right-hand side, one stacked matrix-vector product,
+    one scatter and the energy sum.  Results do not depend on what the
+    mesh holds.  A singular block raises ``SingularSystem``.
 
     ``charges`` is read once: each charge's centroid distances give its
     right-hand-side term and its q/r share of the Coulomb potential phi in
@@ -275,7 +275,7 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
         return BemSolution(sigma=np.zeros(mesh.panel_count), energy_kcal=0.0,
                            panel_count=mesh.panel_count, induced_charge=0.0)
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
-    images, inverses, scatter = _factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
+    images, inverses = _factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
     rhs = np.zeros(mesh.panel_count)
     phi = np.zeros(mesh.panel_count)
     for ch in charges:
@@ -285,10 +285,9 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
         rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
         phi += ch.q / r
     b = _CHARACTERS @ rhs[images] / 8.0
-    # chi(g) y[r'] for every character, in the order of ``scatter``
-    weights = np.concatenate([(chi[:, None] * (inv @ bc[keep])).ravel()
-                              for chi, bc, (keep, inv) in zip(_CHARACTERS, b, inverses)])
-    sigma = np.bincount(scatter, weights=weights, minlength=mesh.panel_count)
+    y = (inverses @ b[:, :, None])[:, :, 0]
+    # sum_chi chi(g) y_chi[r'] lands on m_g[r'] for every g
+    sigma = np.bincount(images.ravel(), (_CHARACTERS.T @ y).ravel(), mesh.panel_count)
     induced = sigma * area
     energy = 0.5 * float(np.sum(induced * phi))
     return BemSolution(sigma=sigma,

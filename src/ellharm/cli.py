@@ -111,8 +111,11 @@ def write_table(args, keys, rows, units, extra=None):
         writer.writerows(row.values() for row in rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {args.out}: {exc}") from None
     else:
         _sys.stdout.write(text)
 

@@ -34,7 +34,8 @@ import numpy as np
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (DegenerateEllipsoid, NonConvergence, OrderOutOfRange,
                      OrderingViolation, ValidationError)
-from .lame1 import _class_functions, _condition, _eval, _padded, eval_lame, lame_function
+from .lame1 import (_class_functions, _condition, _eval, _index, _padded, eval_lame,
+                    lame_function)
 from .lame2 import _second_kind, eval_I
 from .numerics import gauss_legendre
 
@@ -57,7 +58,7 @@ __all__ = [
 CANCELLATION_THRESHOLD = 1e6
 
 GAMMA_ORDER_START = 64
-GAMMA_ORDER_MAX = 256
+GAMMA_ORDER_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ class HarmonicIndex:
     p: int
 
     def __post_init__(self):
+        _index(self.n, "degree n")
+        _index(self.p, "order p")
         if self.n < 0 or not (1 <= self.p <= 2 * self.n + 1):
             raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
 
@@ -122,7 +125,7 @@ def _gamma_fixed_order(sys: EllipsoidSystem, f, order: int) -> float:
 
 def gamma(sys: EllipsoidSystem, idx: HarmonicIndex, with_error: bool = False):
     """Normalization constant gamma_n^p with an order-doubling error check:
-    orders 64, 128 and 256, until two agree to 1e-8 relative."""
+    orders 64, 128, ... up to 1024, until two agree to 1e-8 relative."""
     f = lame_function(sys, idx.n, idx.p)
 
     def rung(order):
@@ -146,7 +149,8 @@ def gamma(sys: EllipsoidSystem, idx: HarmonicIndex, with_error: bool = False):
             return (val2, err) if with_error else val2
         if order >= GAMMA_ORDER_MAX:
             raise NonConvergence(
-                f"gamma order-doubling stalled at order {order} (rel change {err:.2e})")
+                f"gamma_{idx.n}^{idx.p} of semiaxes {(sys.a, sys.b, sys.c)}: order-doubling "
+                f"stalled at order {order} (rel change {err:.2e})")
         val = val2
 
 
@@ -168,6 +172,7 @@ class NormalizationTable:
 
 
 def build_normalization_table(sys: EllipsoidSystem, N: int) -> NormalizationTable:
+    N = _index(N, "truncation degree N")
     if N < 0:
         raise OrderOutOfRange(f"truncation degree N={N} is negative")
     # one eigensolve per (n, class); classes K, L, M, N give p = 1 .. 2n + 1
@@ -188,6 +193,7 @@ def build_normalization_table(sys: EllipsoidSystem, N: int) -> NormalizationTabl
 def _checked_table(sys: EllipsoidSystem, N: int, table: NormalizationTable | None):
     """``table`` after checking that it was built for ``sys`` and holds
     degree N (a new table when it is None)."""
+    N = _index(N, "truncation degree N")
     if table is None:
         table = build_normalization_table(sys, N)
     elif table.system != sys:

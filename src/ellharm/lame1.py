@@ -25,6 +25,7 @@ coordinate roles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,18 @@ def class_dim(tag: str, n: int) -> int:
     return {"K": r + 1, "L": n - r, "M": n - r, "N": r}[tag]
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int (numpy integers included); any other type raises
+    OrderOutOfRange."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OrderOutOfRange(f"{name}={value!r} is not an integer") from None
+
+
 def class_of(n: int, p: int) -> LameClass:
     """Map the global order p in 1..2n+1 to (class, local index)."""
+    n, p = _index(n, "degree n"), _index(p, "order p")
     if n < 0 or not (1 <= p <= 2 * n + 1):
         raise OrderOutOfRange(f"order p={p} invalid for degree n={n}")
     q = p - 1

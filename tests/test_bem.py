@@ -83,16 +83,15 @@ def _solve_bem_per_charge(mesh, charges, diel):
     again for its energy term: (sigma, energy in kcal/mol, induced charge)."""
     e1, e2 = diel.eps1, diel.eps2
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
-    images, inverses, scatter = bem._factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
+    images, inverses = bem._factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
     rhs = np.zeros(mesh.panel_count)
     for ch in charges:
         d = cen - np.asarray(ch.position)
         r = np.linalg.norm(d, axis=1)
         rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
     b = bem._CHARACTERS @ rhs[images] / 8.0
-    weights = np.concatenate([(chi[:, None] * (inv @ bc[keep])).ravel()
-                              for chi, bc, (keep, inv) in zip(bem._CHARACTERS, b, inverses)])
-    sigma = np.bincount(scatter, weights=weights, minlength=mesh.panel_count)
+    y = (inverses @ b[:, :, None])[:, :, 0]
+    sigma = np.bincount(images.ravel(), (bem._CHARACTERS.T @ y).ravel(), mesh.panel_count)
     energy = 0.0
     for ch in charges:
         r = np.linalg.norm(cen - np.asarray(ch.position), axis=1)
@@ -182,8 +181,9 @@ def test_split_solve_matches_dense_reference(sys_fig3, shape, refinement):
     assert abs(sol.energy_kcal - energy) <= 1e-13 * abs(energy)
 
 
-def _one_shot_blocks(mesh, diag):
-    """The images and the (keep, B_chi[keep, keep]) pairs of the collocation
+def _one_shot_stack(mesh, diag):
+    """The images, the (8, R) mask of the representatives that each
+    character vanishes on, and the (8, R, R) blocks B_chi of the collocation
     operator with diagonal ``diag``, built in one shot: the representatives'
     rows gathered as one (R, 8, R) array A[:, images] and contracted over its
     middle axis."""
@@ -193,8 +193,15 @@ def _one_shot_blocks(mesh, diag):
     A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, diag, reps)
     B = np.tensordot(_CHARACTERS, A[:, images], axes=([1], [1]))
     nontrivial = ((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1)
+    return images, nontrivial, B
+
+
+def _one_shot_blocks(mesh, diag):
+    """The (keep, B_chi[keep, keep]) pairs of the one-shot stack, where keep
+    lists the representatives that chi does not vanish on."""
+    _, nontrivial, B = _one_shot_stack(mesh, diag)
     keeps = (np.flatnonzero(~s) for s in nontrivial)
-    return images, [(keep, Bc[np.ix_(keep, keep)]) for Bc, keep in zip(B, keeps)]
+    return [(keep, Bc[np.ix_(keep, keep)]) for Bc, keep in zip(B, keeps)]
 
 
 def _np_block_tops(mesh):
@@ -202,7 +209,7 @@ def _np_block_tops(mesh):
     collocation operator with diagonal 0: the Neumann-Poincare operator on
     the mesh, split by parity."""
     return np.array([np.linalg.eigvals(block).real.max() / (4 * math.pi)
-                     for _, block in _one_shot_blocks(mesh, 0.0)[1]])
+                     for _, block in _one_shot_blocks(mesh, 0.0)])
 
 
 @pytest.mark.parametrize("shape, refinement", [("ellipsoid", 1), ("ellipsoid", 2),
@@ -210,37 +217,45 @@ def _np_block_tops(mesh):
                                                ("sphere", 1), ("sphere", 2), ("sphere", 3)])
 def test_factored_operator_equals_one_shot_build_bytewise(sys_fig3, monkeypatch,
                                                           shape, refinement):
-    # against the one-shot build with the assembly's former 256-row blocks
+    # against the one-shot build with the assembly's former 256-row blocks,
+    # its vanishing rows and columns set to the identity's by np.where
     mesh = (mesh_ellipsoid(sys_fig3, refinement) if shape == "ellipsoid"
             else mesh_sphere(2.0, refinement))
     diag = 2.0 * math.pi * (WATER.eps1 + WATER.eps2) / (WATER.eps2 - WATER.eps1)
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "BLOCK_ROWS", 256)
-        images, blocks = _one_shot_blocks(mesh, diag)
-    got_images, inverses, scatter = bem._factored(mesh, diag)
+        images, skip, B = _one_shot_stack(mesh, diag)
+    padded = np.where(skip[:, :, None] | skip[:, None, :], np.eye(len(skip[0])), B)
+    want = np.linalg.inv(padded)
+    want[skip] = 0.0
+    got_images, inverses = bem._factored(mesh, diag)
     assert got_images.tobytes() == images.tobytes()
-    assert scatter.tobytes() == np.concatenate([images[:, keep].ravel()
-                                                for keep, _ in blocks]).tobytes()
-    assert len(inverses) == len(blocks) == 8
-    for (keep, inv), (want_keep, block) in zip(inverses, blocks):
-        assert keep.tobytes() == want_keep.tobytes()
-        want = np.linalg.inv(block)
-        assert inv.shape == want.shape and inv.tobytes() == want.tobytes()
+    assert inverses.shape == want.shape and inverses.tobytes() == want.tobytes()
+    assert not inverses.flags.writeable
+    # each character's block, restricted to its kept representatives, is the
+    # inverse of B_chi[keep, keep] (measured within 7.7e-16 of its largest
+    # entry), and zero outside it
+    for inv, Bc, s in zip(inverses, B, skip):
+        keep = np.ix_(~s, ~s)
+        assert not inv[s].any() and not inv[:, s].any()
+        kept = np.linalg.inv(Bc[keep])
+        assert np.abs(inv[keep] - kept).max() <= 1e-14 * np.abs(kept).max()
 
 
 def test_factored_peak_memory_stays_near_the_kept_inverses(sys_fig3):
     # a cold build at 5120 panels allocates at most 2.5x the bytes of the
-    # inverses it keeps: measured 2.20, and 4.64 when it gathered an
+    # inverse stack it keeps: measured 2.00; 2.20 against the eight
+    # unpadded inverses it kept before, and 4.64 when it also gathered an
     # (R, 8, R) array and assembled 256-row blocks
     mesh = mesh_ellipsoid(sys_fig3, 4)
     diag = 2.0 * math.pi * (WATER.eps1 + WATER.eps2) / (WATER.eps2 - WATER.eps1)
     tracemalloc.start()
     try:
-        _, inverses, _ = bem._factored(mesh, diag)
+        _, inverses = bem._factored(mesh, diag)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(inv.nbytes for _, inv in inverses)
+    kept = inverses.nbytes
     assert peak <= 2.5 * kept, peak / kept
 
 
@@ -501,11 +516,15 @@ def test_mesh_built_by_hand_solves_and_compares_without_its_cache(sys215):
 
 def test_library_meshes_are_read_only_and_solve_as_writable_copies(sys215):
     # solve_bem keeps the operator on the mesh, so an in-place edit would
-    # leave it stale: the library's meshes refuse one, and a solve on a
-    # hand-built mesh of writable copies gives the same bits
+    # leave it stale: the library's meshes and the kept inverse stack refuse
+    # one, and a solve on a hand-built mesh of writable copies gives the
+    # same bits
     charges = [PointCharge(0.2, 0.1, -0.3, 1.0)]
     mesh = mesh_ellipsoid(sys215, 2)
     before = solve_bem(mesh, charges, WATER)
+    [(_, inverses)] = mesh._factors.values()
+    with pytest.raises(ValueError):
+        inverses *= 1
     arrays = (mesh.vertices, mesh.triangles, mesh.centroids, mesh.areas, mesh.normals,
               mesh.mirrors)
     for arr in arrays:

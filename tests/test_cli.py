@@ -147,6 +147,18 @@ def test_out_file_and_determinism(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-parent", "directory"])
+def test_unwritable_out_exits_2_with_one_json_line(tmp_path, capsys, out):
+    code = main(["gamma", "--order", "2", "--out", str(tmp_path / out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"cannot write --out {tmp_path / out}")
+
+
 def test_exit_code_validation_errors(tmp_path):
     # degenerate semiaxes
     res = run_cli(["--semiaxes", "1,1,1", "gamma", "--order", "1"])

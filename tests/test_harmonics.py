@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.special import ellip_normal
 from conftest import (fd_laplacian, gamma_tensor_reference, lame_reference,
                       second_kind_reference, surface_inner)
 from ellharm.coords import cart_to_ell, new_system
-from ellharm.errors import DegenerateEllipsoid, NonConvergence, OrderingViolation
+from ellharm.errors import (DegenerateEllipsoid, NonConvergence, OrderingViolation,
+                            OrderOutOfRange)
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
                                _interior_pass, _point_rows,
                                build_normalization_table,
@@ -18,7 +20,8 @@ from ellharm.lame1 import (_eval, _padded, build_tridiagonal, class_of,
                            psi_exponents)
 from ellharm.lame2 import eval_I
 from ellharm.numerics import adaptive_quad
-from ellharm.solvation import reaction_potential
+from ellharm.solvation import (DielectricModel, PointCharge, reaction_coefficients,
+                               reaction_potential, solvation_energy)
 
 
 def test_interior_monopole(sys215):
@@ -252,8 +255,8 @@ def test_table_gamma_equals_tensor_rule_reference(semiaxes):
 
 
 def test_gamma_runs_the_order_ladder(sys215, monkeypatch):
-    # orders 64, 128, 256: a converged harmonic stops at the first doubling,
-    # one that never settles raises after 256
+    # orders 64, 128, ..., 1024: a converged harmonic stops at the first
+    # doubling, one that never settles raises after 1024, naming itself
     from ellharm import harmonics
     orders = []
     rule = harmonics.gauss_legendre
@@ -264,9 +267,68 @@ def test_gamma_runs_the_order_ladder(sys215, monkeypatch):
     orders.clear()
     monkeypatch.setattr(harmonics, "_gamma_fixed_order",
                         lambda sys, f, order: orders.append(order) or float(order))
-    with pytest.raises(NonConvergence, match="order 256"):
+    with pytest.raises(NonConvergence, match=r"gamma_0\^1 of semiaxes \(2.0, 1.5, 1.0\): "
+                                             r"order-doubling stalled at order 1024"):
         gamma(sys215, HarmonicIndex(0, 1))
-    assert orders == [64, 128, 256]
+    assert orders == [64, 128, 256, 512, 1024]
+
+
+# two charges in 15,12,10-sized near-spheroids, N = 12, eps 4/80; the
+# ladder stopped at 256 stalled on each case below
+NEAR_SPHEROID_CHARGES = [PointCharge(3.0, 2.0, 1.0, 1.0), PointCharge(-2.0, 1.0, -2.0, -0.5)]
+NEAR_SPHEROIDS = {"prolate": lambda d: (15.0, 12.0, 12.0 * (1 - d)),
+                  "oblate": lambda d: (15.0 * (1 + d), 15.0, 10.0)}
+
+
+def _near_spheroid_energy(family, delta):
+    return solvation_energy(new_system(*NEAR_SPHEROIDS[family](delta)),
+                            NEAR_SPHEROID_CHARGES, DielectricModel(4.0, 80.0),
+                            N=12).energy_kcal
+
+
+@pytest.mark.parametrize("family, delta, energy", [("prolate", 1e-7, -1.162601715237),
+                                                   ("oblate", 1e-7, -1.201182636047),
+                                                   ("oblate", 1e-8, -1.201182689159)])
+def test_near_spheroids_solve_on_the_linear_trend(family, delta, energy):
+    # the energy at delta lies on the line through delta = 1e-5 and 1e-6,
+    # which solved at 256 already: measured off it by 1.3e-4, 3.0e-5 and
+    # 2.0e-3 of its change from 1e-6
+    got = _near_spheroid_energy(family, delta)
+    assert got == pytest.approx(energy, rel=1e-10)
+    e5, e6 = (_near_spheroid_energy(family, d) for d in (1e-5, 1e-6))
+    line = e6 + (e5 - e6) / (1e-5 - 1e-6) * (delta - 1e-6)
+    assert abs(got - line) <= 0.01 * abs(got - e6)
+
+
+def test_prolate_spheroid_at_1e_8_still_stalls():
+    axes = NEAR_SPHEROIDS["prolate"](1e-8)
+    with pytest.raises(NonConvergence, match=rf"gamma_12\^1 of semiaxes "
+                                             rf"{re.escape(str(axes))}: .* order 1024"):
+        _near_spheroid_energy("prolate", 1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys: HarmonicIndex(1.5, 1),
+    lambda sys: HarmonicIndex(1, 1.0),
+    lambda sys: class_of(2.0, 1),
+    lambda sys: lame_function(sys, 2, np.float64(1.0)),
+    lambda sys: gamma(sys, HarmonicIndex("1", 1)),
+    lambda sys: reaction_coefficients({(1.0, 1): 1.0}, sys, DielectricModel(4.0, 80.0)),
+    lambda sys: build_normalization_table(sys, 2.0),
+    lambda sys: solvation_energy(sys, [PointCharge(0.1, 0.0, 0.0, 1.0)],
+                                 DielectricModel(4.0, 80.0), N=2.0,
+                                 table=build_normalization_table(sys, 2)),
+], ids=["n", "p", "class_of", "lame_function", "str", "G-key", "table-N", "solve-N"])
+def test_non_integer_degree_or_order_is_order_out_of_range(sys215, call):
+    with pytest.raises(OrderOutOfRange, match="is not an integer"):
+        call(sys215)
+
+
+def test_numpy_integer_degree_and_order_pass(sys215):
+    idx = HarmonicIndex(np.int64(2), np.int32(3))
+    assert gamma(sys215, idx) == gamma(sys215, HarmonicIndex(2, 3))
+    table = build_normalization_table(sys215, np.int64(2))
+    assert table.gamma == build_normalization_table(sys215, 2).gamma
 
 
 @pytest.mark.parametrize("scale, n, value", [(1e-10, 9, "0.0"), (1e6, 12, "nan")])
