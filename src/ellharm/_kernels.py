@@ -24,9 +24,6 @@ def assemble_influence_matrix(cen, nrm, area, diag_val, rows):
     """Rows ``rows`` of the influence matrix: with i = rows[k],
     A[k, j] = n_i . (c_i - c_j) / |c_i - c_j|^3 * area_j for j != i, and
     A[k, i] = diag_val."""
-    cen = np.ascontiguousarray(cen, dtype=np.float64)
-    nrm = np.ascontiguousarray(nrm, dtype=np.float64)
-    area = np.ascontiguousarray(area, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.intp)
     A = np.empty((len(rows), len(cen)), dtype=np.float64)
     for start in range(0, len(rows), BLOCK_ROWS):

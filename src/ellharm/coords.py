@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateEllipsoid, RangeViolation, RoundTripFailure
 
@@ -57,9 +58,10 @@ class EllipsoidSystem:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class EllipsoidalPoint:
-    """Signed ellipsoidal coordinates: stored value = sign * magnitude."""
+class EllipsoidalPoint(NamedTuple):
+    """Signed ellipsoidal coordinates: stored value = sign * magnitude.  A
+    point is the 6-tuple of its fields, the row that the harmonics' E3 pass
+    reads."""
 
     lam: float
     mu: float
@@ -116,12 +118,6 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     or at lengths below ~1e-26) or its roots the coordinate ranges.  A
     non-finite coordinate raises ``RangeViolation``.
     """
-    return EllipsoidalPoint(*_cart_to_ell(sys, x, y, z))
-
-
-def _cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float):
-    """``cart_to_ell`` as the tuple (lam, mu, nu, s_lambda, s_mu, s_nu) of
-    the point's fields, for callers that need no point object."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
     h2, k2 = sys.h * sys.h, sys.k * sys.k
@@ -166,7 +162,7 @@ def _cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float):
     # from |r| ~ 1.4e154 on, x^2 is inf, every root nan and so is err
     if not err <= _ROUND_TRIP_TOL:
         raise RoundTripFailure(f"round trip of {(x, y, z)} off by {err:.3e} (> 1e-6)")
-    return lam, mu, nu, sl, sm, sn
+    return EllipsoidalPoint(lam, mu, nu, sl, sm, sn)
 
 
 def _cartesian(h2, k2, lam, mu, nu, s_lambda, s_mu, s_nu):
@@ -187,7 +183,7 @@ def _cartesian(h2, k2, lam, mu, nu, s_lambda, s_mu, s_nu):
 
 def ell_to_cart(sys: EllipsoidSystem, p: EllipsoidalPoint):
     """Signed ellipsoidal -> Cartesian coordinates."""
-    return _cartesian(sys.h2, sys.k2, p.lam, p.mu, p.nu, p.s_lambda, p.s_mu, p.s_nu)
+    return _cartesian(sys.h2, sys.k2, *p)
 
 
 def normal_derivative_factor(sys: EllipsoidSystem, mu: float, nu: float) -> float:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,17 +74,12 @@ class HarmonicIndex:
             raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
 
 
-def _point_rows(points) -> np.ndarray:
-    """The (M, 6) input of ``_interior_pass``: each point's fields lam, mu,
-    nu, s_lambda, s_mu, s_nu, as ``coords._cart_to_ell`` returns them."""
-    return np.array([(pt.lam, pt.mu, pt.nu, pt.s_lambda, pt.s_mu, pt.s_nu)
-                     for pt in points], dtype=float).reshape(-1, 6)
-
-
-def _interior_pass(sys: EllipsoidSystem, exps, b, rows: np.ndarray) -> np.ndarray:
-    """E3 of the columns of ``b`` at the points of the (M, 6) array ``rows``
-    (see ``_point_rows``), C-contiguous (points, columns): products E(lam)
-    E(mu) E(nu), in that order, equal to the scalar ones bit for bit."""
+def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
+    """E3 of the columns of ``b`` at a sequence of ``EllipsoidalPoint``s,
+    C-contiguous (points, columns): products E(lam) E(mu) E(nu), in that
+    order, equal to the scalar ones bit for bit.  The points' fields are read
+    as the rows of one (M, 6) array."""
+    rows = np.fromiter(chain.from_iterable(points), float, 6 * len(points)).reshape(-1, 6)
     E = _eval(sys, exps, b, rows.T[:3, :, None], rows[:, 4:5], rows[:, 5:], 0)
     return E[0] * E[1] * E[2]
 
@@ -92,14 +88,14 @@ def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """E3_n^p at the point: triple product of first-kind evaluations."""
     f = lame_function(sys, idx.n, idx.p)
-    return float(_interior_pass(sys, *_padded([f]), _point_rows([point]))[0, 0])
+    return float(_interior_pass(sys, *_padded([f]), [point])[0, 0])
 
 
 def exterior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
                    point: EllipsoidalPoint) -> float:
     """F3_n^p at an exterior point (|lambda| > k required by eval_I)."""
     f = lame_function(sys, idx.n, idx.p)
-    E3 = float(_interior_pass(sys, *_padded([f]), _point_rows([point]))[0, 0])
+    E3 = float(_interior_pass(sys, *_padded([f]), [point])[0, 0])
     return (2 * idx.n + 1) * E3 * eval_I(f, abs(point.lam))
 
 
@@ -118,8 +114,9 @@ def _gamma_fixed_order(sys: EllipsoidSystem, f, order: int) -> float:
     x, w = gauss_legendre(order, 0.0, math.pi / 2.0)
     mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(x) ** 2)
     nu = sys.h * np.sin(x)
-    a = w * eval_lame(f, mu) ** 2 / mu
-    b = w * eval_lame(f, nu) ** 2 / np.sqrt(sys.k2 - nu ** 2)
+    E_mu, E_nu = np.split(eval_lame(f, np.concatenate([mu, nu])), 2)
+    a = w * E_mu ** 2 / mu
+    b = w * E_nu ** 2 / np.sqrt(sys.k2 - nu ** 2)
     return 8.0 * float(np.sum(a * mu ** 2) * np.sum(b) - np.sum(a) * np.sum(b * nu ** 2))
 
 
@@ -245,7 +242,7 @@ def coulomb_expand(sys: EllipsoidSystem, source, field_point, N: int,
     H = (N + 1) ** 2
     keys = list(table.functions)[:H]
     exps, coeffs = table.exponents[:, :H], table.coeffs[:, :H]
-    E3_src, E3_fld = _interior_pass(sys, exps, coeffs, _point_rows([src, fld]))
+    E3_src, E3_fld = _interior_pass(sys, exps, coeffs, [src, fld])
     I = np.array([eval_I(table.functions[key], abs(fld.lam)) for key in keys])
     width = 2 * np.arange(N + 1) + 1   # degree n has 2n + 1 columns
     F3 = np.repeat(width, width) * E3_fld * I

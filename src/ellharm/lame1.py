@@ -63,6 +63,8 @@ class LameClass:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise OrderOutOfRange(f"unknown class tag {self.tag!r}")
+        _index(self.n, "degree n")
+        _index(self.p_local, "p_local")
         if not (0 <= self.p_local < class_dim(self.tag, self.n)):
             raise OrderOutOfRange(
                 f"p_local={self.p_local} out of range for class {self.tag}, n={self.n}")

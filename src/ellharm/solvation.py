@@ -28,10 +28,10 @@ from sys import float_info
 
 import numpy as np
 
-from .coords import EllipsoidSystem, _cart_to_ell, cart_to_ell
+from .coords import EllipsoidSystem, cart_to_ell
 from .errors import ChargeOutsideEllipsoid, RangeViolation, ValidationError
 from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
-                        _interior_pass, _point_rows)
+                        _interior_pass)
 from .lame1 import N_MAX_DEFAULT
 
 __all__ = [
@@ -114,19 +114,18 @@ def _interior_terms(sys: EllipsoidSystem, charges, N: int,
     the source coefficients G, over the table's first (N + 1)^2 columns.  The
     table is checked first, then the charges are read once, in order."""
     table = _checked_table(sys, N, table)
-    rows, q = [], []
+    points, q = [], []
     for ch in charges:
         if not _scaled_radius2(sys, ch.x, ch.y, ch.z) < 1.0:
             raise ChargeOutsideEllipsoid(
                 f"charge at {ch.position} not strictly inside the ellipsoid")
         if not math.isfinite(ch.q):
             raise ValidationError(f"charge at {ch.position} has non-finite q={ch.q}")
-        rows.append(_cart_to_ell(sys, ch.x, ch.y, ch.z))
+        points.append(cart_to_ell(sys, ch.x, ch.y, ch.z))
         q.append(ch.q)
     H = (N + 1) ** 2
     qE3 = np.array(q, dtype=float) @ _interior_pass(
-        sys, table.exponents[:, :H], table.coeffs[:, :H],
-        np.array(rows, dtype=float).reshape(-1, 6))
+        sys, table.exponents[:, :H], table.coeffs[:, :H], points)
     return table, qE3, table.prefactor[:H] * qE3
 
 
@@ -215,9 +214,10 @@ def reaction_potential(sys: EllipsoidSystem, B: dict, point,
     if _scaled_radius2(sys, x, y, z) > 1.0 + 1e-12:
         raise RangeViolation(f"point {(x, y, z)} is outside the ellipsoid")
     keys = sorted(B)
-    rows = _point_rows([cart_to_ell(sys, x, y, z)])
+    # the point is transformed before the keys are checked
+    pt = cart_to_ell(sys, x, y, z)
     table, cols = _columns(sys, keys, table)
-    E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], rows)[0]
+    E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], [pt])[0]
     return float(E3 @ np.array([B[key] for key in keys]))
 
 

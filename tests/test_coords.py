@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +75,15 @@ def test_ell_to_cart_range_violation(sys215):
                            s_lambda=1, s_mu=1, s_nu=1)  # |lam| < k
     with pytest.raises(RangeViolation):
         ell_to_cart(sys215, bad)
+
+
+def test_a_point_is_its_row(sys215):
+    p = cart_to_ell(sys215, 0.7, -0.5, 0.3)
+    q = surface_point(sys215, sys215.k, sys215.h, s_mu=-1)
+    assert tuple(p) == (p.lam, p.mu, p.nu, p.s_lambda, p.s_mu, p.s_nu)
+    rows = np.array([p, q], dtype=float)
+    assert rows.shape == (2, 6)
+    assert rows.tolist() == [[*p], [q.lam, q.mu, q.nu, q.s_lambda, q.s_mu, q.s_nu]]
 
 
 @pytest.mark.parametrize("xyz", [(math.nan, 1.0, 1.0), (0.5, math.inf, 0.2),
@@ -195,7 +203,7 @@ def _outcome(transform, sys, p):
     """The fields of the transformed point, in a form that tells -0.0 from
     0.0 and keeps nan, or the type of the exception it raised."""
     try:
-        return repr(dataclasses.astuple(transform(sys, *p)))
+        return repr(tuple(transform(sys, *p)))
     except Exception as exc:
         return type(exc).__name__
 

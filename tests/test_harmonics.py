@@ -10,13 +10,12 @@ from conftest import (fd_laplacian, gamma_tensor_reference, lame_reference,
 from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import (DegenerateEllipsoid, NonConvergence, OrderingViolation,
                             OrderOutOfRange)
-from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex,
-                               _interior_pass, _point_rows,
+from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex, _interior_pass,
                                build_normalization_table,
                                coulomb_expand, exterior_solid, gamma,
                                interior_solid, surface_harmonic)
-from ellharm.lame1 import (_eval, _padded, build_tridiagonal, class_of,
-                           eval_lame, eval_lame_condition, lame_function,
+from ellharm.lame1 import (LameClass, _eval, _padded, build_tridiagonal,
+                           class_of, eval_lame, eval_lame_condition, lame_function,
                            psi_exponents)
 from ellharm.lame2 import eval_I
 from ellharm.numerics import adaptive_quad
@@ -55,7 +54,7 @@ def test_interior_matrix_matches_scalar_triple_product(sys215):
     # a shuffled order mixes classes and degrees inside each psi group
     np.random.default_rng(4).shuffle(fns)
     for subset in (fns, fns[::7]):
-        E3 = _interior_pass(sys215, *_padded(subset), _point_rows(pts))
+        E3 = _interior_pass(sys215, *_padded(subset), pts)
         assert E3.shape == (len(pts), len(subset))
         for i, pt in enumerate(pts):
             for j, f in enumerate(subset):
@@ -318,7 +317,10 @@ def test_prolate_spheroid_at_1e_8_still_stalls():
     lambda sys: solvation_energy(sys, [PointCharge(0.1, 0.0, 0.0, 1.0)],
                                  DielectricModel(4.0, 80.0), N=2.0,
                                  table=build_normalization_table(sys, 2)),
-], ids=["n", "p", "class_of", "lame_function", "str", "G-key", "table-N", "solve-N"])
+    lambda sys: LameClass("K", 2.0, 0),
+    lambda sys: LameClass("K", 2, 0.0),
+], ids=["n", "p", "class_of", "lame_function", "str", "G-key", "table-N", "solve-N",
+        "class-n", "class-p_local"])
 def test_non_integer_degree_or_order_is_order_out_of_range(sys215, call):
     with pytest.raises(OrderOutOfRange, match="is not an integer"):
         call(sys215)

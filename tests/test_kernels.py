@@ -45,7 +45,7 @@ def test_multi_block_assembly_matches_dense_reference():
     assert np.allclose(sub, B[rows], rtol=1e-12, atol=1e-12)
 
 
-def test_dispatcher_accepts_noncontiguous_input():
+def test_noncontiguous_input_gives_the_contiguous_result():
     cen, nrm, area = _random_panels(20, seed=5)
     strided = np.repeat(cen, 2, axis=1)[:, ::2]   # a view of every other column
     fortran = np.asfortranarray(nrm)

@@ -202,6 +202,27 @@ def test_charges_read_once_give_the_list_result(sys215, once):
         source_coefficients(sys215, charges, 4)
 
 
+def test_charge_transforms_call_the_bound_cart_to_ell_once_per_charge(sys215,
+                                                                      monkeypatch):
+    # the transform a tracer patches in solvation is the one every charge takes
+    from ellharm import solvation
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cart_to_ell(*args)
+
+    monkeypatch.setattr(solvation, "cart_to_ell", counted)
+    charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7),
+               PointCharge(0.1, 0.1, -0.3, 0.5)]
+    table = build_normalization_table(sys215, 3)
+    for run in (lambda: solvation_energy(sys215, charges, WATER, N=3, table=table),
+                lambda: source_coefficients(sys215, charges, 3, table=table)):
+        calls.clear()
+        run()
+        assert calls == [(sys215, c.x, c.y, c.z) for c in charges]
+
+
 def test_charges_read_once_stop_at_the_first_outside_one(sys215):
     def charges():
         yield PointCharge(0.2, 0.1, 0.0, 1.0)
