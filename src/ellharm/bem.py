@@ -21,9 +21,10 @@ panel count.  The one shortcut is exact: the mesh is invariant under the
 eight coordinate sign flips, so the collocation matrix commutes with eight
 panel permutations and ``solve_bem`` splits it into eight dense blocks, one
 per character of that group, from the matrix rows of one panel per orbit.
-The blocks depend only on the mesh and the permittivities, so their inverses
-are computed once, as one stack, and kept on the mesh: every further charge
-set solved on it costs a right-hand side and one stacked matrix-vector product.
+The blocks depend only on the mesh and the permittivities, so they are built
+once, straight into the one stack that is kept on the mesh, a block of rows
+at a time, and inverted there in place: every further charge set solved on it
+costs a right-hand side and one stacked matrix-vector product.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import EllipsoidSystem
-from .errors import NumericalError, SingularSystem
+from .errors import NumericalError, SingularSystem, ValidationError
 from .solvation import DielectricModel, KCAL_PER_E2_PER_ANGSTROM
-from ._kernels import assemble_influence_matrix
+from ._kernels import BLOCK_ROWS, assemble_influence_matrix
 
 __all__ = [
     "TriMesh",
@@ -207,28 +208,29 @@ def _factored(mesh: TriMesh, diag: float):
     m = mesh.mirrors
     reps = np.flatnonzero(m.min(axis=0) == np.arange(mesh.panel_count))
     images = m[:, reps]                                   # (8, R)
-    A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, diag, reps)
-    # G[g, r, r'] = A[r, m_g[r']], gathered in the order that tensordot
-    # contracts over, so it reshapes G without a copy; A, G and B are dropped
-    # once used, which keeps the build's peak near the inverses it keeps
-    G = A[np.arange(len(reps))[None, :, None], images[:, None, :]]
-    del A
-    B = np.tensordot(_CHARACTERS, G, axes=([1], [0]))
-    del G
+    # the blocks are written once, into the stack that is kept: each row
+    # block's rows A are gathered into G[g, r, r'] = A[r, m_g[r']], the order
+    # that tensordot contracts over, and summed over the characters
+    stack = np.empty((8, len(reps), len(reps)))
+    for start in range(0, len(reps), BLOCK_ROWS):
+        rows = reps[start:start + BLOCK_ROWS]
+        A = assemble_influence_matrix(mesh.centroids, mesh.normals, mesh.areas, diag, rows)
+        G = A[np.arange(len(rows))[None, :, None], images[:, None, :]]
+        stack[:, start:start + len(rows)] = np.tensordot(_CHARACTERS, G, axes=([1], [0]))
     # the (chi, r) where chi vanishes: some g fixing r has chi(g) = -1
     chi, r = np.nonzero(((_CHARACTERS[:, :, None] < 0) & (images == reps)[None]).any(axis=1))
-    B[chi, r, :] = B[chi, :, r] = 0.0
-    B[chi, r, r] = 1.0
+    stack[chi, r, :] = stack[chi, :, r] = 0.0
+    stack[chi, r, r] = 1.0
     try:
-        inverses = np.linalg.inv(B)
+        for B in stack:
+            B[...] = np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"a block is singular at {mesh.panel_count} panels") from exc
-    del B
-    inverses[chi, r, :] = 0.0
-    inverses.flags.writeable = False
+    stack[chi, r, :] = 0.0
+    stack.flags.writeable = False
     mesh._factors.clear()
-    mesh._factors[diag] = images, inverses
-    return images, inverses
+    mesh._factors[diag] = images, stack
+    return images, stack
 
 
 def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
@@ -260,30 +262,34 @@ def solve_bem(mesh: TriMesh, charges, diel: DielectricModel) -> BemSolution:
 
     The blocks depend on the mesh and on the diagonal value
     2 pi (eps1 + eps2)/(eps2 - eps1) alone, not on the charges.  So the
-    first solve inverts the stack and keeps it on the mesh, for one
-    diagonal value at a time (~28 MB at 5120 panels); every solve then
+    first solve builds the stack, inverts it and keeps it on the mesh, for
+    one diagonal value at a time (~28 MB at 5120 panels); every solve then
     applies it: one right-hand side, one stacked matrix-vector product,
     one scatter and the energy sum.  Results do not depend on what the
     mesh holds.  A singular block raises ``SingularSystem``.
 
-    ``charges`` is read once: each charge's centroid distances give its
-    right-hand-side term and its q/r share of the Coulomb potential phi in
-    the energy sum, so any number of charges needs O(T) working memory.
+    ``charges`` is read once, before the operator is built: each charge's
+    centroid distances give its right-hand-side term and its q/r share of
+    the Coulomb potential phi in the energy sum, so any number of charges
+    needs O(T) working memory.  A charge with a non-finite coordinate or q
+    raises ``ValidationError``.
     """
     e1, e2 = diel.eps1, diel.eps2
-    if e1 == e2:
-        return BemSolution(sigma=np.zeros(mesh.panel_count), energy_kcal=0.0,
-                           panel_count=mesh.panel_count, induced_charge=0.0)
     cen, nrm, area = mesh.centroids, mesh.normals, mesh.areas
-    images, inverses = _factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
     rhs = np.zeros(mesh.panel_count)
     phi = np.zeros(mesh.panel_count)
     for ch in charges:
+        if not all(map(math.isfinite, (*ch.position, ch.q))):
+            raise ValidationError(f"charge at {ch.position} with q={ch.q} is not finite")
         d = cen - np.asarray(ch.position)
         r = np.linalg.norm(d, axis=1)
         # normal derivative of q / (eps1 |r - r_k|) at the centroids
         rhs += -ch.q / e1 * np.einsum("ij,ij->i", nrm, d) / r ** 3
         phi += ch.q / r
+    if e1 == e2:
+        return BemSolution(sigma=np.zeros(mesh.panel_count), energy_kcal=0.0,
+                           panel_count=mesh.panel_count, induced_charge=0.0)
+    images, inverses = _factored(mesh, 2.0 * math.pi * (e1 + e2) / (e2 - e1))
     b = _CHARACTERS @ rhs[images] / 8.0
     y = (inverses @ b[:, :, None])[:, :, 0]
     # sum_chi chi(g) y_chi[r'] lands on m_g[r'] for every g

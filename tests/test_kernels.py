@@ -53,3 +53,22 @@ def test_noncontiguous_input_gives_the_contiguous_result():
     A = _kernels.assemble_influence_matrix(strided, fortran, area, 0.5, np.arange(20))
     B = _kernels.assemble_influence_matrix(cen, nrm, area, 0.5, np.arange(20))
     assert np.array_equal(A, B)
+
+
+def test_rows_are_the_same_bytes_at_any_block_size(monkeypatch):
+    # bem._factored streams 16-row blocks into the operator it keeps, and
+    # the bytewise operator test builds its reference from 256-row blocks:
+    # both rely on every entry being computed the same way at any block size
+    # and for any subset or order of rows
+    n = 2 * 256 + 37
+    cen, nrm, area = _random_panels(n, seed=6)
+    rows = np.random.default_rng(7).permutation(n)[:300]
+    built = set()
+    for block_rows in (1, 16, 64, 256):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "BLOCK_ROWS", block_rows)
+            A = _kernels.assemble_influence_matrix(cen, nrm, area, 2.5, np.arange(n))
+            sub = _kernels.assemble_influence_matrix(cen, nrm, area, 2.5, rows)
+        assert sub.tobytes() == A[rows].tobytes()
+        built.add(A.tobytes())
+    assert len(built) == 1
