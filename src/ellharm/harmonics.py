@@ -35,8 +35,8 @@ import numpy as np
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (DegenerateEllipsoid, NonConvergence, OrderOutOfRange,
                      OrderingViolation, ValidationError)
-from .lame1 import (_class_functions, _condition, _eval, _index, _padded, eval_lame,
-                    lame_function)
+from .lame1 import (_class_functions, _condition, _eval, _index, _padded, class_of,
+                    eval_lame, lame_function)
 from .lame2 import _second_kind, eval_I
 from .numerics import gauss_legendre
 
@@ -107,48 +107,92 @@ def surface_harmonic(sys: EllipsoidSystem, idx: HarmonicIndex,
     return eval_lame(f, mu, s_mu, s_nu) * eval_lame(f, nu, s_mu, s_nu)
 
 
-def _gamma_fixed_order(sys: EllipsoidSystem, f, order: int) -> float:
-    """Octant integral at a fixed tensor Gauss-Legendre order, times 8, as the
-    two separable sums of the module docstring; one rule on [0, pi/2] serves
-    both angles."""
+def _gamma_fixed_order(sys: EllipsoidSystem, exps, b, order: int) -> np.ndarray:
+    """Octant integrals at a fixed tensor Gauss-Legendre order, times 8, as the
+    two separable sums of the module docstring, for every column of the
+    zero-padded coefficient matrix ``b`` with psi exponents ``exps``.  One
+    rule on [0, pi/2] serves both angles, and one ``_eval`` pass gives E on
+    the mu and nu nodes together.  The products are laid out C-contiguous as
+    (columns, order), so each column's sums are numpy's pairwise sums of one
+    contiguous row: every column keeps the bits of a one-column pass."""
     x, w = gauss_legendre(order, 0.0, math.pi / 2.0)
     mu = np.sqrt(sys.h2 + (sys.k2 - sys.h2) * np.sin(x) ** 2)
     nu = sys.h * np.sin(x)
-    E_mu, E_nu = np.split(eval_lame(f, np.concatenate([mu, nu])), 2)
+    E = _eval(sys, exps, b, np.concatenate([mu, nu])[:, None], 1, 1, 0)
+    E_mu, E_nu = np.split(np.ascontiguousarray(E.T), 2, axis=1)
     a = w * E_mu ** 2 / mu
-    b = w * E_nu ** 2 / np.sqrt(sys.k2 - nu ** 2)
-    return 8.0 * float(np.sum(a * mu ** 2) * np.sum(b) - np.sum(a) * np.sum(b * nu ** 2))
+    c = w * E_nu ** 2 / np.sqrt(sys.k2 - nu ** 2)
+    return 8.0 * (np.sum(a * mu ** 2, axis=1) * np.sum(c, axis=1)
+                  - np.sum(a, axis=1) * np.sum(c * nu ** 2, axis=1))
 
 
-def gamma(sys: EllipsoidSystem, idx: HarmonicIndex, with_error: bool = False):
-    """Normalization constant gamma_n^p with an order-doubling error check:
-    orders 64, 128, ... up to 1024, until two agree to 1e-8 relative."""
-    f = lame_function(sys, idx.n, idx.p)
+def gamma(sys: EllipsoidSystem, idx, with_error: bool = False):
+    """Normalization constant gamma_n^p of one ``HarmonicIndex`` (a float), or
+    of each of a sequence of them (an array, in the order given); with
+    ``with_error``, also the relative change of its last order doubling.
 
-    def rung(order):
+    Each distinct (n, class) is solved once.  One order-doubling ladder,
+    64, 128, ... up to 1024, serves all indices: an index is done when two
+    successive orders agree to 1e-8 relative, and only the indices not yet
+    done are evaluated at the next order.  Errors are raised at the lowest
+    order where some index fails, and name the first failing one in (n, p)
+    order: ``DegenerateEllipsoid`` for a value of 0 or not finite, and
+    ``NonConvergence`` if it still changes at 1024.  An element that is not
+    a ``HarmonicIndex`` raises ``ValidationError`` before any work."""
+    single = isinstance(idx, HarmonicIndex)
+    keys = [idx] if single or not np.iterable(idx) else list(idx)
+    classes, functions = {}, []
+    for key in keys:
+        if not isinstance(key, HarmonicIndex):
+            raise ValidationError(f"gamma takes a HarmonicIndex or a sequence of them, "
+                                  f"not {key!r}")
+        cls = class_of(key.n, key.p)
+        if (key.n, cls.tag) not in classes:
+            classes[key.n, cls.tag] = _class_functions(sys, key.n, cls.tag)
+        functions.append(classes[key.n, cls.tag][cls.p_local])
+    values, errors = np.empty(len(keys)), np.empty(len(keys))
+    if not keys:
+        return (values, errors) if with_error else values
+    exps, b = _padded(functions)
+
+    def failing(active, mask):
+        # the position in ``active`` of the first index in (n, p) order
+        # among those flagged by ``mask``, and the name errors give it
+        j = min(np.flatnonzero(mask), key=lambda j: (keys[active[j]].n, keys[active[j]].p))
+        key = keys[active[j]]
+        return j, f"gamma_{key.n}^{key.p} of semiaxes {(sys.a, sys.b, sys.c)}"
+
+    def rung(active, order):
         # gamma scales as length^(4n), so far from unit lengths it leaves
         # float64 range: 0 or inf is no value to converge to
         with np.errstate(all="ignore"):
-            value = _gamma_fixed_order(sys, f, order)
-        if value == 0.0 or not math.isfinite(value):
-            raise DegenerateEllipsoid(
-                f"gamma_{idx.n}^{idx.p} of semiaxes {(sys.a, sys.b, sys.c)} is {value} "
-                f"at order {order}: outside float64 range")
+            value = _gamma_fixed_order(sys, exps[:, active], b[:, active], order)
+        bad = (value == 0.0) | ~np.isfinite(value)
+        if bad.any():
+            j, name = failing(active, bad)
+            raise DegenerateEllipsoid(f"{name} is {float(value[j])} at order {order}: "
+                                      "outside float64 range")
         return value
 
+    active = np.arange(len(keys))
     order = GAMMA_ORDER_START
-    val = rung(order)
+    val = rung(active, order)
     while True:
         order *= 2
-        val2 = rung(order)
-        err = abs(val2 - val) / max(abs(val2), 1e-300)
-        if err <= 1e-8:
-            return (val2, err) if with_error else val2
+        val2 = rung(active, order)
+        err = abs(val2 - val) / np.maximum(abs(val2), 1e-300)
+        done = err <= 1e-8
+        values[active[done]], errors[active[done]] = val2[done], err[done]
+        if done.all():
+            break
         if order >= GAMMA_ORDER_MAX:
-            raise NonConvergence(
-                f"gamma_{idx.n}^{idx.p} of semiaxes {(sys.a, sys.b, sys.c)}: order-doubling "
-                f"stalled at order {order} (rel change {err:.2e})")
-        val = val2
+            j, name = failing(active, ~done)
+            raise NonConvergence(f"{name}: order-doubling stalled at order {order} "
+                                 f"(rel change {float(err[j]):.2e})")
+        active, val = active[~done], val2[~done]
+    if single:
+        values, errors = float(values[0]), float(errors[0])
+    return (values, errors) if with_error else values
 
 
 @dataclass(frozen=True)
@@ -176,9 +220,8 @@ def build_normalization_table(sys: EllipsoidSystem, N: int) -> NormalizationTabl
     functions = [f for n in range(N + 1) for tag in "KLMN"
                  for f in _class_functions(sys, n, tag)]
     fns = dict(zip([(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)], functions))
-    gam, errs = {}, {}
-    for key in fns:
-        gam[key], errs[key] = gamma(sys, HarmonicIndex(*key), with_error=True)
+    gam, errs = (dict(zip(fns, x.tolist()))
+                 for x in gamma(sys, [HarmonicIndex(*key) for key in fns], with_error=True))
     arrays = (*_padded(functions),
               np.array([4.0 * math.pi / (2 * n + 1) / g for (n, _), g in gam.items()]),
               np.array(_second_kind(functions, sys.a)[:4]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -61,6 +62,17 @@ def test_gamma_monopole_value():
         {"n": 0, "p": 1, "gamma": 4 * 3.141592653589793,
          "error_estimate": doc["rows"][0]["error_estimate"]}, rel=1e-8)
     assert len(doc["rows"]) == 4  # (0,1) + (1,1..3)
+
+
+def test_gamma_table_keeps_its_bytes():
+    # sha256 of the printed N = 12 table on the default 2,1.5,1 semiaxes,
+    # every gamma and error_estimate included, recorded from the one-index
+    # ladder the table ran before it made one gamma call for every index
+    res = run_cli(["gamma", "--order", "12", "--format", "json"])
+    assert res.returncode == 0, res.stderr
+    assert len(json.loads(res.stdout)["rows"]) == 169
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "68f1cf3f63416169d5bf0dce94f322c6196593f5e37876a777ebe774a082a55d")
 
 
 def test_coulomb_error_decreases():

@@ -9,7 +9,7 @@ from conftest import (fd_laplacian, gamma_tensor_reference, lame_reference,
                       second_kind_reference, surface_inner)
 from ellharm.coords import cart_to_ell, new_system
 from ellharm.errors import (DegenerateEllipsoid, NonConvergence, OrderingViolation,
-                            OrderOutOfRange)
+                            OrderOutOfRange, ValidationError)
 from ellharm.harmonics import (CANCELLATION_THRESHOLD, HarmonicIndex, _interior_pass,
                                build_normalization_table,
                                coulomb_expand, exterior_solid, gamma,
@@ -265,11 +265,109 @@ def test_gamma_runs_the_order_ladder(sys215, monkeypatch):
     assert orders == [64, 128]
     orders.clear()
     monkeypatch.setattr(harmonics, "_gamma_fixed_order",
-                        lambda sys, f, order: orders.append(order) or float(order))
+                        lambda sys, exps, b, order: orders.append(order)
+                        or np.full(b.shape[1], float(order)))
     with pytest.raises(NonConvergence, match=r"gamma_0\^1 of semiaxes \(2.0, 1.5, 1.0\): "
                                              r"order-doubling stalled at order 1024"):
         gamma(sys215, HarmonicIndex(0, 1))
     assert orders == [64, 128, 256, 512, 1024]
+
+
+def test_gamma_ladder_drops_converged_columns(sys215, monkeypatch):
+    # one stalled column among converged ones: every rung after the second
+    # evaluates it alone, and the error names it; with two stalled, the
+    # first in (n, p) order is named, whatever order they were given in
+    from ellharm import harmonics
+    columns = []
+    fixed = harmonics._gamma_fixed_order
+
+    def stall(e_h):
+        # the columns whose psi has the h-root (exponent e_h = 1) never settle
+        def rung(sys, exps, b, order):
+            columns.append(b.shape[1])
+            return np.where(exps[1] == e_h, float(order), fixed(sys, exps, b, order))
+        return rung
+
+    # (0, 1) is class K, (1, 1) K, (1, 2) L, (1, 3) M: only (1, 2) has e_h = 1
+    keys = [HarmonicIndex(0, 1), HarmonicIndex(1, 1), HarmonicIndex(1, 2), HarmonicIndex(1, 3)]
+    monkeypatch.setattr(harmonics, "_gamma_fixed_order", stall(1))
+    with pytest.raises(NonConvergence, match=r"gamma_1\^2 of semiaxes .* order 1024"):
+        gamma(sys215, keys)
+    assert columns == [4, 4, 1, 1, 1]
+    columns.clear()
+    monkeypatch.setattr(harmonics, "_gamma_fixed_order", stall(0))
+    with pytest.raises(NonConvergence, match=r"gamma_0\^1 of semiaxes .* order 1024"):
+        gamma(sys215, keys[::-1])
+    assert columns == [4, 4, 3, 3, 3]
+
+
+GAMMA_GEOMETRIES = [((15.0, 12.0, 10.0), 12), ((2.0, 1.5, 1.0), 16), ((10.0, 3.0, 1.0), 10),
+                    ((100.0, 2.0, 1.0), 8), ((1.001, 1.0002, 1.0001), 12),
+                    ((15.0, 12.0, 12.0 * (1 - 1e-7)), 12)]
+
+
+@pytest.mark.parametrize("semiaxes, N", GAMMA_GEOMETRIES)
+def test_gamma_of_many_indices_has_the_bits_of_one_index_calls(semiaxes, N):
+    # the prolate delta = 1e-7 shape runs its ladder to 512; every value and
+    # error estimate is the one-index call's, byte for byte, also in a
+    # shuffled order with a repeated index
+    sys = new_system(*semiaxes)
+    keys = [HarmonicIndex(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)]
+    keys = [keys[i] for i in np.random.default_rng(N).permutation(len(keys))] + keys[:1]
+    values, errors = gamma(sys, keys, with_error=True)
+    assert values.shape == errors.shape == (len(keys),)
+    for key, value, error in zip(keys, values.tolist(), errors.tolist()):
+        one = gamma(sys, key, with_error=True)
+        assert (value.hex(), error.hex()) == tuple(x.hex() for x in one), key
+    assert gamma(sys, keys).tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("semiaxes, pins", [
+    ((15.0, 12.0, 10.0), {
+        (0, 1): ("0x1.921fb54442d19p+3", "0x1.45f306dc9c882p-51"),
+        (3, 5): ("0x1.f454430b90838p+33", "0x1.4fa6aab4543b4p-48"),
+        (7, 2): ("0x1.9228e782a7a77p+74", "0x1.6ea9051930b8bp-50"),
+        (9, 13): ("0x1.5e7f81d8d8b3cp+94", "0x1.d372f665944cep-50"),
+        (12, 1): ("0x1.2a080e623cf70p+124", "0x1.8cd81047a2ec7p-44"),
+        (12, 25): ("0x1.198d5e86406aep+128", "0x1.475408fa1db12p-46")}),
+    ((15.0, 12.0, 12.0 * (1 - 1e-7)), {
+        (0, 1): ("0x1.921fb544432b0p+3", "0x1.d985f4366aef8p-32"),
+        (3, 5): ("0x1.393937d27da8ep-29", "0x1.5f253a2fb3eaep-35"),
+        (7, 2): ("0x1.bd772242abf2ap-12", "0x1.bd8b865648f4dp-33"),
+        (9, 13): ("0x1.093b7cdbc4e83p-13", "0x1.4d04756c176d8p-34"),
+        (12, 1): ("0x1.a49464a2b6067p-127", "0x1.33066760aa493p-28"),
+        (12, 25): ("0x1.419e32c24e0bcp+77", "0x1.3bee2b5adca14p-31")})],
+    ids=["15,12,10", "prolate-1e-7"])
+def test_table_gamma_keeps_its_recorded_bits(semiaxes, pins):
+    # gamma and its order-doubling change, recorded from the one-index
+    # ladder the table ran before it made one call for every index
+    table = build_normalization_table(new_system(*semiaxes), 12)
+    for key, (value, error) in pins.items():
+        assert (table.gamma[key].hex(), table.error_estimates[key].hex()) == (value, error), key
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e-10, r"gamma_9\^1 of semiaxes \(1.5e-09, 1.2e-09, 1e-09\) is 0.0 at order 64: "
+            r"outside float64 range"),
+    (1e6, r"gamma_12\^1 of semiaxes \(15000000.0, 12000000.0, 10000000.0\) is nan at "
+          r"order 64: outside float64 range")])
+def test_table_outside_float64_range_names_the_first_degenerate_gamma(scale, message):
+    # the message a table build gave when it called gamma once per index
+    sys = new_system(15 * scale, 12 * scale, 10 * scale)
+    with pytest.raises(DegenerateEllipsoid, match=f"^{message}$"):
+        build_normalization_table(sys, 12)
+
+
+@pytest.mark.parametrize("idx", [[HarmonicIndex(1, 1), (2, 3)], (2, 3), [None], 5],
+                         ids=["tuple-element", "tuple", "none-element", "int"])
+def test_gamma_of_something_not_a_harmonic_index_is_a_validation_error(sys215, idx):
+    with pytest.raises(ValidationError, match="gamma takes a HarmonicIndex"):
+        gamma(sys215, idx)
+
+
+def test_gamma_of_no_indices_is_empty(sys215):
+    values, errors = gamma(sys215, [], with_error=True)
+    assert values.shape == errors.shape == (0,)
 
 
 # two charges in 15,12,10-sized near-spheroids, N = 12, eps 4/80; the
