@@ -148,6 +148,19 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
         nu2 = k2 if abs(nu2 - k2) <= tol_k else nu2
         lam2 = k2 if abs(lam2 - k2) <= tol_k else lam2
         nu2 = 0.0 if abs(nu2) <= 1e-13 else nu2
+        # on z = 0 one of lambda^2, mu^2 is k^2 exactly, and on y = 0 one of
+        # mu^2, nu^2 is h^2: the nearer root takes that value, since rounding
+        # can push it past k^2 or h^2 by more than the snap above
+        if z == 0.0:
+            if abs(lam2 - k2) <= abs(mu2 - k2):
+                lam2 = k2
+            else:
+                mu2 = k2
+        if y == 0.0:
+            if abs(mu2 - h2) <= abs(nu2 - h2):
+                mu2 = h2
+            else:
+                nu2 = h2
         # a negative root from roundoff is clipped to 0; a nan root stays nan
         lam = sl * math.sqrt(0.0 if lam2 < 0.0 else lam2)
         mu = sm * math.sqrt(0.0 if mu2 < 0.0 else mu2)

@@ -22,6 +22,27 @@ With these conventions the Coulomb kernel expands as
     1/|r - r'| = sum_n sum_p [4 pi / (2n+1)] (1/gamma_n^p) E3(r') F3(r)
 
 for field points on a larger confocal shell than the source.
+
+An interior harmonic is a polynomial in x, y, z, which the solvation
+energies evaluate without ellipsoidal coordinates (Hobson 1931; Dassios,
+Ellipsoidal Harmonics, CUP 2012).  Write P(t) = b_(m-1) prod_i (t - t_i),
+whose leading coefficient is (-h^2)^(m-1), and theta_i = h^2 (1 - t_i), so
+that P = prod_i (s^2 - theta_i).  The coordinates lam^2, mu^2, nu^2 of a
+point are the roots of its confocal cubic,
+
+    (theta - lam^2)(theta - mu^2)(theta - nu^2) = q(theta)
+      = theta (theta - h^2)(theta - k^2) - x^2 (theta - h^2)(theta - k^2)
+        - y^2 theta (theta - k^2) - z^2 theta (theta - h^2),
+
+and the radical factors multiply to lam mu nu = h k x, and so on for y and
+z.  Hence
+
+    E3 = kappa x^e_s y^e_h z^e_k prod_i q(theta_i),
+    kappa = (-1)^(m-1) (h k)^e_s (h sqrt(k^2 - h^2))^e_h (k sqrt(k^2 - h^2))^e_k,
+
+with one factor q(theta_i) = A_i + x^2 B_x,i + y^2 B_y,i + z^2 B_z,i per
+root, linear in the squared coordinates.  The Lame roots are real and lie
+in (0, k^2).
 """
 
 from __future__ import annotations
@@ -33,10 +54,10 @@ from itertools import chain
 import numpy as np
 
 from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
-from .errors import (DegenerateEllipsoid, NonConvergence, OrderOutOfRange,
+from .errors import (DegenerateEllipsoid, NonConvergence, NumericalError, OrderOutOfRange,
                      OrderingViolation, ValidationError)
-from .lame1 import (_class_functions, _condition, _eval, _index, _padded, class_of,
-                    eval_lame, lame_function)
+from .lame1 import (_CODE_BITS, _CODE_WEIGHTS, _class_functions, _condition, _eval, _index,
+                    _padded, class_of, eval_lame, lame_function)
 from .lame2 import _second_kind, eval_I
 from .numerics import gauss_legendre
 
@@ -82,6 +103,96 @@ def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
     rows = np.fromiter(chain.from_iterable(points), float, 6 * len(points)).reshape(-1, 6)
     E = _eval(sys, exps, b, rows.T[:3, :, None], rows[:, 4:5], rows[:, 5:], 0)
     return E[0] * E[1] * E[2]
+
+
+def _lame_roots(b, m) -> np.ndarray:
+    """The roots t_i of each column's P(t) = sum_j b_j t^j, (roots, columns),
+    for the (m, F) zero-padded coefficients ``b`` whose column j has m[j]
+    coefficients; rows past a column's m[j] - 1 roots hold 0.  Companion
+    eigenvalues, one stacked eigensolve per root count, polished by two
+    Newton steps on a compensated P, after which they are correctly rounded
+    up to N = 26 on 15,12,10.  A root off the real axis raises
+    NumericalError."""
+    t = np.zeros((max(len(b) - 1, 1), b.shape[1]))
+    for r in range(1, len(b)):
+        cols = np.flatnonzero(m == r + 1)
+        if not len(cols):
+            continue
+        companion = np.zeros((len(cols), r, r))
+        companion[:, np.arange(1, r), np.arange(r - 1)] = 1.0
+        companion[:, :, -1] = -(b[:r, cols] / b[r, cols]).T
+        roots = np.linalg.eigvals(companion)
+        if np.any(np.imag(roots) != 0.0):
+            raise NumericalError(f"a Lame polynomial with {r} roots has a root off the "
+                                 "real axis")
+        t[:r, cols] = roots.real.T
+    for _ in range(2):
+        P, dP = _compensated_horner(t, b)
+        with np.errstate(all="ignore"):
+            step = P / dP
+        t -= np.where(np.isfinite(step), step, 0.0)
+    return np.where(np.arange(len(t))[:, None] < m - 1, t, 0.0)
+
+
+def _compensated_horner(t, b):
+    """P(t) of each column of ``b`` at the rows of t, as accurate as Horner's
+    rule in twice the working precision (Graillat, Langlois and Louvet,
+    2005: the rounding errors of each step, found exactly by Dekker's
+    products and Knuth's sums, are summed by a second Horner pass), and P'
+    by plain Horner."""
+    P, err, dP = b[-1] + 0.0 * t, 0.0 * t, 0.0 * t
+    split = 134217729.0 * t                 # 2^27 + 1
+    t_hi = split - (split - t)
+    t_lo = t - t_hi
+    for j in range(len(b) - 2, -1, -1):
+        dP = dP * t + P
+        split = 134217729.0 * P
+        P_hi = split - (split - P)
+        P_lo = P - P_hi
+        prod = P * t
+        prod_err = ((P_hi * t_hi - prod) + P_hi * t_lo + P_lo * t_hi) + P_lo * t_lo
+        P = prod + b[j]
+        back = P - prod
+        sum_err = (prod - (P - back)) + (b[j] - back)
+        err = err * t + (prod_err + sum_err)
+    return P + err, dP
+
+
+def _factor_rows(sys: EllipsoidSystem, exps, b, m) -> np.ndarray:
+    """The (4, roots, columns) rows A, B_x, B_y, B_z with q(theta_i) = A + x^2
+    B_x + y^2 B_y + z^2 B_z at each root theta_i = h^2 (1 - t_i) of the
+    columns' P, padded with the exact factor 1 (A = 1, B = 0), and each
+    column's kappa folded into its first row (see the module docstring)."""
+    t = _lame_roots(b, m)
+    # k^2 - h^2 as the Lame coefficients and gamma were solved with
+    d = sys.k2 - sys.h2
+    theta, minus_h2 = sys.h2 * (1.0 - t), -sys.h2 * t  # theta, theta - h^2
+    minus_k2 = minus_h2 - d                           # theta - k^2
+    rows = np.stack([theta * minus_h2 * minus_k2, -minus_h2 * minus_k2,
+                     -theta * minus_k2, -theta * minus_h2])
+    rows[:, np.arange(len(t))[:, None] >= m - 1] = [[1.0], [0.0], [0.0], [0.0]]
+    e_s, e_h, e_k = exps
+    root_d = math.sqrt(d)
+    kappa = (np.where(m % 2, 1.0, -1.0) * (sys.h * sys.k) ** e_s
+             * (sys.h * root_d) ** e_h * (sys.k * root_d) ** e_k)
+    rows[:, 0] *= kappa
+    return rows
+
+
+def _cartesian_pass(table: NormalizationTable, xyz, H: int) -> np.ndarray:
+    """E3 of the table's first H columns at the (M, 3) Cartesian points
+    ``xyz``, (points, columns), in product form: q at every root of every
+    column from one matmul of x^2, y^2, z^2 against the B rows, plus A, their
+    product over the roots, times the monomial x^e_s y^e_h z^e_k gathered by
+    exponent code.  No ellipsoidal coordinate is computed."""
+    rows = table.factors[:, :, :H]
+    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+    q = (xyz * xyz) @ rows[1:].reshape(3, -1)
+    q += rows[0].reshape(-1)
+    E3 = np.multiply.reduce(q.reshape(len(xyz), rows.shape[1], H), axis=1)
+    monomials = np.where(_CODE_BITS, xyz[:, :, None], 1.0).prod(axis=1)
+    E3 *= monomials.take(_CODE_WEIGHTS @ table.exponents[:, :H], axis=1)
+    return E3
 
 
 def interior_solid(sys: EllipsoidSystem, idx: HarmonicIndex,
@@ -208,6 +319,7 @@ class NormalizationTable:
     coeffs: np.ndarray     # (m, columns) zero-padded coefficients of P
     prefactor: np.ndarray  # 4 pi / ((2n + 1) gamma) by column
     surface: np.ndarray    # (4, columns) E, E', F, F' at lambda = a
+    factors: np.ndarray    # (4, roots, columns) rows A, B_x, B_y, B_z of q (see _factor_rows)
     # solvation's reaction factor by column for one (eps1, eps2) (see _reaction_factors)
     _reactions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -222,9 +334,11 @@ def build_normalization_table(sys: EllipsoidSystem, N: int) -> NormalizationTabl
     fns = dict(zip([(n, p) for n in range(N + 1) for p in range(1, 2 * n + 2)], functions))
     gam, errs = (dict(zip(fns, x.tolist()))
                  for x in gamma(sys, [HarmonicIndex(*key) for key in fns], with_error=True))
-    arrays = (*_padded(functions),
+    exps, b = _padded(functions)
+    arrays = (exps, b,
               np.array([4.0 * math.pi / (2 * n + 1) / g for (n, _), g in gam.items()]),
-              np.array(_second_kind(functions, sys.a)[:4]))
+              np.array(_second_kind(functions, sys.a)[:4]),
+              _factor_rows(sys, exps, b, np.array([len(f.coeffs) for f in functions])))
     for arr in arrays:
         arr.flags.writeable = False
     return NormalizationTable(sys, gam, errs, fns, *arrays)

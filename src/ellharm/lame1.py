@@ -255,7 +255,8 @@ def _eval(sys: EllipsoidSystem, exps, b, s, s_mu_sign, s_nu_sign, nderiv):
         factor = [s_arr, 1.0, 0.0][:nderiv + 1]
         out = _leibniz(out, _where(_CODE_BITS[0], factor) if masked else factor)
     s2 = s_arr * s_arr
-    sgn = np.where(s_arr >= 0, 1.0, -1.0)
+    # the stored coordinate is sign * magnitude, so a zero carries its sign
+    sgn = np.copysign(1.0, s_arr)
     for present, bits, semifocal2, octant_sign in (
             (e_h, _CODE_BITS[1], sys.h2, s_mu_sign), (e_k, _CODE_BITS[2], sys.k2, s_nu_sign)):
         if not (masked or present):

@@ -28,10 +28,10 @@ from sys import float_info
 
 import numpy as np
 
-from .coords import EllipsoidSystem, cart_to_ell
+from .coords import EllipsoidSystem
 from .errors import ChargeOutsideEllipsoid, RangeViolation, ValidationError
-from .harmonics import (HarmonicIndex, NormalizationTable, _checked_table,
-                        _interior_pass)
+from .harmonics import (HarmonicIndex, NormalizationTable, _cartesian_pass,
+                        _checked_table)
 from .lame1 import N_MAX_DEFAULT
 
 __all__ = [
@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 KCAL_PER_E2_PER_ANGSTROM = 332.0637
+
+# charges per E3 block: q^T E3 is summed block by block, so the pass's
+# memory does not grow with the number of charges
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -110,22 +114,26 @@ def _scaled_radius2(sys: EllipsoidSystem, x: float, y: float, z: float) -> float
 
 def _interior_terms(sys: EllipsoidSystem, charges, N: int,
                     table: NormalizationTable | None):
-    """The table, q^T E3 (E3 the C-contiguous charges x columns matrix) and
-    the source coefficients G, over the table's first (N + 1)^2 columns.  The
-    table is checked first, then the charges are read once, in order."""
+    """The table, q^T E3 and the source coefficients G, over the table's
+    first (N + 1)^2 columns.  The table is checked first, then the charges
+    are read once, in order.  q^T E3 is summed in order over blocks of
+    _BLOCK charges, each block's E3 (charges x columns) from the Cartesian
+    pass."""
     table = _checked_table(sys, N, table)
-    points, q = [], []
+    rows = []
     for ch in charges:
         if not _scaled_radius2(sys, ch.x, ch.y, ch.z) < 1.0:
             raise ChargeOutsideEllipsoid(
                 f"charge at {ch.position} not strictly inside the ellipsoid")
         if not math.isfinite(ch.q):
             raise ValidationError(f"charge at {ch.position} has non-finite q={ch.q}")
-        points.append(cart_to_ell(sys, ch.x, ch.y, ch.z))
-        q.append(ch.q)
+        rows.append((ch.x, ch.y, ch.z, ch.q))
     H = (N + 1) ** 2
-    qE3 = np.array(q, dtype=float) @ _interior_pass(
-        sys, table.exponents[:, :H], table.coeffs[:, :H], points)
+    rows = np.array(rows, dtype=float).reshape(-1, 4)
+    qE3 = np.zeros(H)
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        qE3 += block[:, 3] @ _cartesian_pass(table, block[:, :3], H)
     return table, qE3, table.prefactor[:H] * qE3
 
 
@@ -211,13 +219,12 @@ def reaction_potential(sys: EllipsoidSystem, B: dict, point,
     """psi(r) = sum B_n^p E3_n^p(r) at a Cartesian point inside the ellipsoid,
     up to a 1e-12 slack for rounded surface points (else RangeViolation)."""
     x, y, z = point
-    if _scaled_radius2(sys, x, y, z) > 1.0 + 1e-12:
+    # a non-finite point fails the comparison too
+    if not _scaled_radius2(sys, x, y, z) <= 1.0 + 1e-12:
         raise RangeViolation(f"point {(x, y, z)} is outside the ellipsoid")
     keys = sorted(B)
-    # the point is transformed before the keys are checked
-    pt = cart_to_ell(sys, x, y, z)
     table, cols = _columns(sys, keys, table)
-    E3 = _interior_pass(sys, table.exponents[:, cols], table.coeffs[:, cols], [pt])[0]
+    E3 = _cartesian_pass(table, [x, y, z], max(cols, default=-1) + 1)[0, cols]
     return float(E3 @ np.array([B[key] for key in keys]))
 
 

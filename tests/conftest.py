@@ -58,8 +58,9 @@ def _ell_to_cart_reference(sys, p):
 def cart_to_ell_reference(sys, x, y, z):
     """``coords.cart_to_ell`` written out step by step, with its own root
     polish and reverse map: the trigonometric roots of the confocal cubic,
-    two Newton steps each, snapping to h^2, k^2 and 0, octant signs and the
-    1e-6 round-trip check."""
+    two Newton steps each, snapping to h^2, k^2 and 0 (and the nearer root
+    to k^2 on z = 0 and to h^2 on y = 0), octant signs and the 1e-6
+    round-trip check."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation("non-finite Cartesian point")
     h2, k2 = sys.h2, sys.k2
@@ -87,6 +88,17 @@ def cart_to_ell_reference(sys, x, y, z):
         lam2 = k2
     if abs(nu2) <= 1e-13:
         nu2 = 0.0
+    # on the z = 0 and y = 0 planes a root is k^2 or h^2 exactly
+    if z == 0.0:
+        if abs(lam2 - k2) <= abs(mu2 - k2):
+            lam2 = k2
+        else:
+            mu2 = k2
+    if y == 0.0:
+        if abs(mu2 - h2) <= abs(nu2 - h2):
+            mu2 = h2
+        else:
+            nu2 = h2
 
     def sgn(v):
         return 1 if v >= 0 else -1

@@ -397,3 +397,12 @@ def test_lame_values_beyond_float64_range_exit_2_with_one_json_line(args):
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "RangeViolation"
+
+
+def test_transform_of_a_point_on_the_z_0_plane_succeeds():
+    # the root at k^2 came out 1.5e-10 above it, and the round trip failed
+    res = run_cli(["--semiaxes", "15,12,10", "transform", "--points",
+                   "7.2697209524821425,5.042274460239588,0"])
+    assert res.returncode == 0, res.stderr
+    row = [ln for ln in res.stdout.splitlines() if not ln.startswith("#")][1]
+    assert float(row.split(",")[-1]) < 1e-8

@@ -63,13 +63,11 @@ def test_traced_names_resolve():
 def test_eval_lame_bound_where_the_tracer_patches_it():
     # perfbench's tracer wraps a layer function at every module binding that
     # holds it: its tracer test checks eval_lame on these modules, and its
-    # coords.cart_to_ell counter sees every cart_to_ell call, the charge
-    # transforms of solvation_energy included, only if each caller binds the
-    # one function
+    # coords.cart_to_ell counter sees every cart_to_ell call only if each
+    # caller binds the one function (solvation computes no coordinates)
     for name, modules in [
             ("eval_lame", ("ellharm.lame1", "ellharm", "ellharm.lame2", "ellharm.harmonics")),
-            ("cart_to_ell", ("ellharm.coords", "ellharm", "ellharm.solvation",
-                             "ellharm.harmonics"))]:
+            ("cart_to_ell", ("ellharm.coords", "ellharm", "ellharm.harmonics"))]:
         func = getattr(importlib.import_module(modules[0]), name)
         for module in modules:
             assert getattr(importlib.import_module(module), name) is func, (module, name)

@@ -202,25 +202,21 @@ def test_charges_read_once_give_the_list_result(sys215, once):
         source_coefficients(sys215, charges, 4)
 
 
-def test_charge_transforms_call_the_bound_cart_to_ell_once_per_charge(sys215,
-                                                                      monkeypatch):
-    # the transform a tracer patches in solvation is the one every charge takes
-    from ellharm import solvation
-    calls = []
+def test_charge_energies_never_call_cart_to_ell(sys215, monkeypatch):
+    # E3 at the charges is a polynomial in x, y and z: no caller of the pass
+    # computes ellipsoidal coordinates, at any module binding of the transform
+    def refused(*args):
+        raise AssertionError(f"cart_to_ell{args} called")
 
-    def counted(*args):
-        calls.append(args)
-        return cart_to_ell(*args)
-
-    monkeypatch.setattr(solvation, "cart_to_ell", counted)
+    for module in ("ellharm", "ellharm.coords", "ellharm.harmonics", "ellharm.solvation"):
+        monkeypatch.setattr(module + ".cart_to_ell", refused, raising=False)
     charges = [PointCharge(0.4, -0.3, 0.2, 1.0), PointCharge(-0.2, 0.5, 0.1, -0.7),
                PointCharge(0.1, 0.1, -0.3, 0.5)]
     table = build_normalization_table(sys215, 3)
-    for run in (lambda: solvation_energy(sys215, charges, WATER, N=3, table=table),
-                lambda: source_coefficients(sys215, charges, 3, table=table)):
-        calls.clear()
-        run()
-        assert calls == [(sys215, c.x, c.y, c.z) for c in charges]
+    assert solvation_energy(sys215, charges, WATER, N=3, table=table).energy_kcal < 0
+    assert len(source_coefficients(sys215, charges, 3, table=table)) == 16
+    B = expansion_coefficients(sys215, charges, WATER, 3, table=table).B
+    assert math.isfinite(reaction_potential(sys215, B, (0.1, 0.2, 0.3), table=table))
 
 
 def test_charges_read_once_stop_at_the_first_outside_one(sys215):
@@ -364,7 +360,8 @@ def _reference_energy(sys, charges, diel, N, table, surface):
 
 def test_table_energy_equals_per_function_reference():
     # seeded charge sets of 1 to 30 charges, some of them on the x = 0,
-    # y = 0 and z = 0 planes, where radical factors vanish
+    # y = 0 and z = 0 planes, where radical factors vanish and a zero
+    # coordinate keeps its sign
     sys, _ = _fig3_setup()
     table = build_normalization_table(sys, 12)
     surface = {key: second_kind_reference(f, sys.a)[:4]
@@ -379,7 +376,11 @@ def test_table_energy_equals_per_function_reference():
         charges = [PointCharge(*map(float, r), float(q))
                    for r, q in zip(xyz, rng.uniform(-1.0, 1.0, count))]
         got = solvation_energy(sys, charges, WATER, N=12, table=table).energy_gaussian
-        assert got == _reference_energy(sys, charges, WATER, 12, table, surface), count
+        # the table's E3 comes from the Cartesian product form, the
+        # reference's from psi P at the transformed charges: measured off by
+        # at most 2.6e-13 relative
+        assert got == pytest.approx(_reference_energy(sys, charges, WATER, 12, table,
+                                                      surface), rel=1e-12, abs=0), count
 
 
 def _scan_charges(seed, count, axes):
@@ -392,15 +393,15 @@ def _scan_charges(seed, count, axes):
 
 
 def test_charge_scan_energies_keep_their_bits(sys_fig3):
-    # kcal/mol energies recorded before the interior pass gathered psi by
-    # exponent code; q^T E3 goes through BLAS, so another numpy build may
-    # sum it in another order
+    # kcal/mol energies recorded when E3 at the charges became the Cartesian
+    # product form; q^T E3 goes through BLAS, so another numpy build may sum
+    # it in another order
     table = build_normalization_table(sys_fig3, 12)
     axes = (sys_fig3.a, sys_fig3.b, sys_fig3.c)
     for seed, count, energy_hex in [
-            (1, 1, "-0x1.9d5afc09b8c2ap+0"), (2, 3, "-0x1.84c464bdbff0cp+1"),
-            (3, 8, "-0x1.d9f1f3acb0083p+5"), (4, 16, "-0x1.19b71af54d42cp+3"),
-            (5, 30, "-0x1.eaf6aa9dc8e66p+2")]:
+            (1, 1, "-0x1.9d5afc09b8c24p+0"), (2, 3, "-0x1.84c464bdbff05p+1"),
+            (3, 8, "-0x1.d9f1f3acb0081p+5"), (4, 16, "-0x1.19b71af54d553p+3"),
+            (5, 30, "-0x1.eaf6aa9dc8dc2p+2")]:
         report = solvation_energy(sys_fig3, _scan_charges(seed, count, axes), WATER,
                                   N=12, table=table)
         assert report.energy_kcal.hex() == energy_hex, (seed, count)
@@ -460,6 +461,15 @@ def test_reaction_potential_rejects_points_outside_the_ellipsoid():
         assert math.isfinite(reaction_potential(sys, B, sign * r, table=table))
 
 
+def test_reaction_potential_rejects_a_non_finite_point():
+    sys, charges = _fig3_setup()
+    table = build_normalization_table(sys, 4)
+    B = expansion_coefficients(sys, charges, WATER, 4, table=table).B
+    for xyz in [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)]:
+        with pytest.raises(RangeViolation):
+            reaction_potential(sys, B, xyz, table=table)
+
+
 def test_inversion_through_centre_gives_the_same_energy():
     # E3 is even or odd under inversion, so every product in 1/2 q^T E3 B
     # is unchanged and the energy is reproduced exactly
@@ -495,3 +505,13 @@ def test_normal_factor_consistent_with_fd(sys215):
 
     fd = (phi(r + delta * n_hat) - phi(r - delta * n_hat)) / (2 * delta)
     assert analytic == pytest.approx(fd, rel=1e-6)
+
+
+def test_energy_is_continuous_across_x_0_below_z_0(sys_fig3):
+    # the energy of (x, 3, -2) and (1, 2, 1) read -13.8778 kcal/mol at x = 0
+    # against -14.2153 at x = +-1e-5 while a zero nu lost its sign
+    energies = [solvation_energy(sys_fig3, [PointCharge(x, 3.0, -2.0, 1.0),
+                                            PointCharge(1.0, 2.0, 1.0, 1.0)],
+                                 WATER, N=12).energy_kcal
+                for x in (-1e-5, -1e-9, -0.0, 0.0, 1e-9, 1e-5)]
+    assert max(energies) - min(energies) <= 1e-4 * abs(energies[0]), energies
