@@ -145,8 +145,10 @@ def _semi_analytic(args):
 
 def cmd_transform(args):
     sys = _system(args)
-    if args.brick:
+    if args.brick is not None:
         n = args.brick
+        if n <= 0:
+            raise ValidationError(f"--brick must be positive, got {n}")
         # n^3 points per octant strictly inside each octant's valid box
         base = np.linspace(0.15, 0.85, n)
         signs = (1, -1)

@@ -108,6 +108,15 @@ def _polish_root(w1: float, w2: float, w3: float, u: float) -> float:
     return u
 
 
+def _plane_roots(u: float, v: float, c2: float):
+    """(u, v) with the roots within 1e-13 of c2 (relative for c2 > 1), then the
+    nearer one, set to c2: rounding can push the exact root past c2 by more."""
+    tol = 1e-13 * (c2 if c2 > 1.0 else 1.0)
+    u = c2 if abs(u - c2) <= tol else u
+    v = c2 if abs(v - c2) <= tol else v
+    return (c2, v) if abs(u - c2) <= abs(v - c2) else (u, c2)
+
+
 def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> EllipsoidalPoint:
     """Cartesian -> signed ellipsoidal coordinates.
 
@@ -117,6 +126,10 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
     cubic is ill-conditioned), when the cubic leaves float range (far out,
     or at lengths below ~1e-26) or its roots the coordinate ranges.  A
     non-finite coordinate raises ``RangeViolation``.
+
+    The cubic's roots move only where a plane makes one exact: nu^2 = 0 on
+    x = 0 (if |nu^2| <= 1e-13), lambda^2 or mu^2 = k^2 on z = 0 and mu^2 or
+    nu^2 = h^2 on y = 0.
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation(f"non-finite Cartesian point {(x, y, z)}")
@@ -137,30 +150,12 @@ def cart_to_ell(sys: EllipsoidSystem, x: float, y: float, z: float) -> Ellipsoid
         lam2 = _polish_root(w1, w2, w3, sq * math.cos(third) - shift)
         mu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 4.0 * math.pi / 3.0) - shift)
         nu2 = _polish_root(w1, w2, w3, sq * math.cos(third + 2.0 * math.pi / 3.0) - shift)
-        # snap roots that agree with a semifocal square to machine precision:
-        # the reconstruction multiplies (root - h^2) etc. by lambda^2, so a
-        # one-ulp residual at a coordinate plane would otherwise be amplified
-        tol_h = 1e-13 * (h2 if h2 > 1.0 else 1.0)
-        tol_k = 1e-13 * (k2 if k2 > 1.0 else 1.0)
-        mu2 = h2 if abs(mu2 - h2) <= tol_h else mu2
-        nu2 = h2 if abs(nu2 - h2) <= tol_h else nu2
-        mu2 = k2 if abs(mu2 - k2) <= tol_k else mu2
-        nu2 = k2 if abs(nu2 - k2) <= tol_k else nu2
-        lam2 = k2 if abs(lam2 - k2) <= tol_k else lam2
-        nu2 = 0.0 if abs(nu2) <= 1e-13 else nu2
-        # on z = 0 one of lambda^2, mu^2 is k^2 exactly, and on y = 0 one of
-        # mu^2, nu^2 is h^2: the nearer root takes that value, since rounding
-        # can push it past k^2 or h^2 by more than the snap above
+        if x == 0.0:
+            nu2 = 0.0 if abs(nu2) <= 1e-13 else nu2
         if z == 0.0:
-            if abs(lam2 - k2) <= abs(mu2 - k2):
-                lam2 = k2
-            else:
-                mu2 = k2
+            lam2, mu2 = _plane_roots(lam2, mu2, k2)
         if y == 0.0:
-            if abs(mu2 - h2) <= abs(nu2 - h2):
-                mu2 = h2
-            else:
-                nu2 = h2
+            mu2, nu2 = _plane_roots(mu2, nu2, h2)
         # a negative root from roundoff is clipped to 0; a nan root stays nan
         lam = sl * math.sqrt(0.0 if lam2 < 0.0 else lam2)
         mu = sm * math.sqrt(0.0 if mu2 < 0.0 else mu2)

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .coords import EllipsoidSystem, EllipsoidalPoint, cart_to_ell
 from .errors import (DegenerateEllipsoid, NonConvergence, NumericalError, OrderOutOfRange,
                      OrderingViolation, ValidationError)
 from .lame1 import (_CODE_BITS, _CODE_WEIGHTS, _class_functions, _condition, _eval, _index,
-                    _padded, class_of, eval_lame, lame_function)
+                    _order, _padded, class_of, eval_lame, lame_function)
 from .lame2 import _second_kind, eval_I
 from .numerics import gauss_legendre
 
@@ -89,10 +88,7 @@ class HarmonicIndex:
     p: int
 
     def __post_init__(self):
-        _index(self.n, "degree n")
-        _index(self.p, "order p")
-        if self.n < 0 or not (1 <= self.p <= 2 * self.n + 1):
-            raise OrderOutOfRange(f"(n, p) = ({self.n}, {self.p}) invalid")
+        _order(self.n, self.p)
 
 
 def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
@@ -100,7 +96,7 @@ def _interior_pass(sys: EllipsoidSystem, exps, b, points) -> np.ndarray:
     C-contiguous (points, columns): products E(lam) E(mu) E(nu), in that
     order, equal to the scalar ones bit for bit.  The points' fields are read
     as the rows of one (M, 6) array."""
-    rows = np.fromiter(chain.from_iterable(points), float, 6 * len(points)).reshape(-1, 6)
+    rows = np.array(points, dtype=float)
     E = _eval(sys, exps, b, rows.T[:3, :, None], rows[:, 4:5], rows[:, 5:], 0)
     return E[0] * E[1] * E[2]
 

@@ -85,11 +85,17 @@ def _index(value, name: str) -> int:
         raise OrderOutOfRange(f"{name}={value!r} is not an integer") from None
 
 
-def class_of(n: int, p: int) -> LameClass:
-    """Map the global order p in 1..2n+1 to (class, local index)."""
+def _order(n, p) -> tuple:
+    """(n, p) as ints when n >= 0 and p is in 1..2n+1; else OrderOutOfRange."""
     n, p = _index(n, "degree n"), _index(p, "order p")
     if n < 0 or not (1 <= p <= 2 * n + 1):
-        raise OrderOutOfRange(f"order p={p} invalid for degree n={n}")
+        raise OrderOutOfRange(f"(n, p) = ({n}, {p}) invalid")
+    return n, p
+
+
+def class_of(n: int, p: int) -> LameClass:
+    """Map the global order p in 1..2n+1 to (class, local index)."""
+    n, p = _order(n, p)
     q = p - 1
     for tag in _TAGS:
         cnt = class_dim(tag, n)

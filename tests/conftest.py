@@ -58,9 +58,10 @@ def _ell_to_cart_reference(sys, p):
 def cart_to_ell_reference(sys, x, y, z):
     """``coords.cart_to_ell`` written out step by step, with its own root
     polish and reverse map: the trigonometric roots of the confocal cubic,
-    two Newton steps each, snapping to h^2, k^2 and 0 (and the nearer root
-    to k^2 on z = 0 and to h^2 on y = 0), octant signs and the 1e-6
-    round-trip check."""
+    two Newton steps each, on each coordinate plane the root it makes exact
+    (nu^2 = 0 on x = 0 within 1e-13; on z = 0 the roots within 1e-13 of k^2,
+    then the nearer root, take k^2; on y = 0 likewise h^2), octant signs and
+    the 1e-6 round-trip check."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise RangeViolation("non-finite Cartesian point")
     h2, k2 = sys.h2, sys.k2
@@ -79,22 +80,24 @@ def cart_to_ell_reference(sys, x, y, z):
     lam2 = _polish_root_reference(w1, w2, w3, lam2)
     mu2 = _polish_root_reference(w1, w2, w3, mu2)
     nu2 = _polish_root_reference(w1, w2, w3, nu2)
-    for c2 in (h2, k2):
-        if abs(mu2 - c2) <= 1e-13 * max(1.0, c2):
-            mu2 = c2
-        if abs(nu2 - c2) <= 1e-13 * max(1.0, c2):
-            nu2 = c2
-    if abs(lam2 - k2) <= 1e-13 * max(1.0, k2):
-        lam2 = k2
-    if abs(nu2) <= 1e-13:
+    # on x = 0 nu^2 is 0, on z = 0 lambda^2 or mu^2 is k^2 and on y = 0
+    # mu^2 or nu^2 is h^2 exactly; off the planes no root moves
+    if x == 0.0 and abs(nu2) <= 1e-13:
         nu2 = 0.0
-    # on the z = 0 and y = 0 planes a root is k^2 or h^2 exactly
     if z == 0.0:
+        if abs(lam2 - k2) <= 1e-13 * max(1.0, k2):
+            lam2 = k2
+        if abs(mu2 - k2) <= 1e-13 * max(1.0, k2):
+            mu2 = k2
         if abs(lam2 - k2) <= abs(mu2 - k2):
             lam2 = k2
         else:
             mu2 = k2
     if y == 0.0:
+        if abs(mu2 - h2) <= 1e-13 * max(1.0, h2):
+            mu2 = h2
+        if abs(nu2 - h2) <= 1e-13 * max(1.0, h2):
+            nu2 = h2
         if abs(mu2 - h2) <= abs(nu2 - h2):
             mu2 = h2
         else:

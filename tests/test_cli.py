@@ -288,6 +288,21 @@ def test_overflowing_lame_matrix_exits_2_with_one_json_line():
     assert "(1e+100, 5e+99, 1e+99)" in err["message"] and "degree-4" in err["message"]
 
 
+@pytest.mark.parametrize("args, error, message", [
+    (["transform", "--brick", "0"], "ValidationError", "--brick must be positive, got 0"),
+    (["transform", "--brick", "-1"], "ValidationError", "--brick must be positive, got -1"),
+    (["--semiaxes", "1,0.9999999999999,0.5", "transform", "--points", "0.1,0.1,0.1"],
+     "DegenerateEllipsoid", "near-degenerate"),
+    (["--semiaxes", "1e100,8e99,6e99", "gamma", "--order", "4"],
+     "DegenerateEllipsoid", "Lame eigenproblem"),
+    (["lame", "--degree", "2", "--p", "9", "--s", "2"], "OrderOutOfRange", "(n, p) = (2, 9) invalid"),
+], ids=["brick-0", "brick-negative", "near-degenerate", "overflowing-eigenproblem", "order"])
+def test_bad_brick_semiaxes_or_order_exit_2_with_a_json_error(capsys, args, error, message):
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and message in err["message"]
+
+
 def test_exit_code_numerical_error():
     # a field point with smaller lambda than the source is an ordering
     # violation (validation), but a field point exactly on the focal ellipse

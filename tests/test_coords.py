@@ -201,6 +201,20 @@ def _special_points(sys):
     return pts
 
 
+def _near_plane_points(axes):
+    """Points 1e-9 to 1e-5 off each coordinate plane, where a root moves only
+    on the plane itself, and two points a few 1e-6 off y = 0 whose round trip
+    failed while the transform snapped roots off the planes as well."""
+    rng = np.random.default_rng(35)
+    pts = [(-0.8468, -1.876e-6, -1.0943), (-4.0876, 3.262e-6, 5.7865)]
+    for plane in range(3):
+        v = rng.uniform(-1.0, 1.0, (40, 3)) * axes
+        for off in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            v[:, plane] = np.copysign(off, v[:, plane])
+            pts += [tuple(p) for p in v.tolist()]
+    return pts
+
+
 def _outcome(transform, sys, p):
     """The fields of the transformed point, in a form that tells -0.0 from
     0.0 and keeps nan, or the type of the exception it raised."""
@@ -220,7 +234,7 @@ def test_cart_to_ell_equals_reference_bit_for_bit(axes):
     for x, y, z in (rng.uniform(-1.0, 1.0, (100, 3)) * scale).tolist():
         for zero in (0.0, -0.0):
             pts += [(zero, y, z), (x, zero, z), (x, y, zero)]
-    pts += _special_points(sys)
+    pts += _special_points(sys) + _near_plane_points(axes)
     got = [_outcome(cart_to_ell, sys, p) for p in pts]
     want = [_outcome(cart_to_ell_reference, sys, p) for p in pts]
     # the set reaches every error the reference raises, and every octant
@@ -253,3 +267,61 @@ def test_interior_points_on_coordinate_planes_round_trip(axes, plane):
         r = ell_to_cart(sys, cart_to_ell(sys, *p))
         worst = max(worst, max(abs(a - b) for a, b in zip(r, p)))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("axes, plane, failures", [
+    ((15.0, 12.0, 10.0), 1, 0), ((15.0, 12.0, 10.0), 2, 5),
+    ((10.0, 3.0, 1.0), 1, 0), ((10.0, 3.0, 1.0), 2, 2),
+    ((2.0, 1.5, 1.0), 1, 0), ((2.0, 1.5, 1.0), 2, 2)], ids=str)
+def test_points_near_coordinate_planes_round_trip(axes, plane, failures):
+    # 4,000 points inside 0.95 of the surface, each placed 1e-9 ... 1e-5 off
+    # y = 0 or z = 0.  While the transform snapped mu^2 or nu^2 to h^2 (and
+    # lambda^2 or mu^2 to k^2) off the planes too, such a snap put the point
+    # on the plane, and 1,521 / 1,246 / 1,040 / 526 / 0 / 2 of these 24,000
+    # failed their round trip.  The few failures left lie by the focal
+    # ellipse, where the cubic's lambda^2 or mu^2 falls past k^2 by rounding
+    sys = new_system(*axes)
+    rng = np.random.default_rng(35)
+    v = rng.normal(size=(4000, 3))
+    v *= 0.95 * rng.random((len(v), 1)) ** (1 / 3) / np.linalg.norm(v, axis=1, keepdims=True)
+    v *= axes
+    failed = 0
+    for off in (1e-9, 1e-8, 1e-7, 1e-6, 3e-6, 1e-5):
+        v[:, plane] = np.copysign(off, v[:, plane])
+        for p in v.tolist():
+            try:
+                cart_to_ell(sys, *p)
+            except RoundTripFailure:
+                failed += 1
+    assert failed <= failures
+
+
+@pytest.mark.parametrize("xyz", [(-0.8468, -1.876e-6, -1.0943), (-4.0876, 3.262e-6, 5.7865)])
+def test_points_a_few_1e_6_off_y_0_round_trip(sys_fig3, xyz):
+    # mu^2 or nu^2 used to snap to h^2 here, which moved y onto the plane
+    r = ell_to_cart(sys_fig3, cart_to_ell(sys_fig3, *xyz))
+    assert max(abs(a - b) for a, b in zip(r, xyz)) <= 1e-6
+    assert math.copysign(1.0, r[1]) == math.copysign(1.0, xyz[1]) and r[1] != 0.0
+
+
+def test_nu_at_a_length_scale_of_1e_7_is_the_scaled_unit_nu():
+    # nu^2 = 6.3e-14 used to snap to 0 off x = 0 (measured: 0.0 against 2.5132e-7)
+    s = 1e-7
+    unit = cart_to_ell(new_system(15.0, 12.0, 10.0), 3.0, 4.0, 5.0)
+    small = cart_to_ell(new_system(15.0 * s, 12.0 * s, 10.0 * s), 3.0 * s, 4.0 * s, 5.0 * s)
+    for got, want in zip(small[:3], unit[:3]):
+        assert abs(got - s * want) <= 1e-12 * abs(s * want)
+    assert small[3:] == unit[3:]
+
+
+def test_near_degenerate_gap_is_a_degenerate_ellipsoid():
+    # a - b = 1e-13 passes the ordering check and fails the 1e-12 * a gap
+    with pytest.raises(DegenerateEllipsoid, match="near-degenerate"):
+        new_system(1.0, 1.0 - 1e-13, 0.5)
+
+
+@pytest.mark.parametrize("mu, nu", [(3.0, 0.5), (1.0, 0.5), (1.5, 1.5), (-1.5, -1.4)])
+def test_normal_factor_out_of_range_raises_range_violation(sys215, mu, nu):
+    # sys215 has h = 1.3229 and k = 1.7321
+    with pytest.raises(RangeViolation, match="out of range"):
+        normal_derivative_factor(sys215, mu, nu)

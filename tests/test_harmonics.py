@@ -431,6 +431,13 @@ def test_numpy_integer_degree_and_order_pass(sys215):
     assert table.gamma == build_normalization_table(sys215, 2).gamma
 
 
+@pytest.mark.parametrize("n, p", [(2, 6), (2, 0), (-1, 1)])
+def test_harmonic_index_and_class_of_reject_an_order_alike(n, p):
+    for call in (HarmonicIndex, class_of):
+        with pytest.raises(OrderOutOfRange, match=re.escape(f"(n, p) = ({n}, {p}) invalid")):
+            call(n, p)
+
+
 @pytest.mark.parametrize("scale, n, value", [(1e-10, 9, "0.0"), (1e6, 12, "nan")])
 def test_gamma_outside_float64_range_is_a_degenerate_ellipsoid(scale, n, value):
     # gamma scales as length^(4n): it underflows to 0 or overflows (inf - inf
@@ -694,9 +701,9 @@ def test_coulomb_expand_equals_per_term_reference(sys215, table16, source, field
 
 
 def test_interior_solids_are_continuous_across_x_0_below_z_0(sys_fig3):
-    # at (x, 3, -2) the transform stores nu = -0.0 for x = +0.0 and, where
-    # nu^2 snaps to 0, for 0 < x < ~3e-7; a zero coordinate keeps its sign,
-    # so every radical factor there has the sign it has at x slightly > 0
+    # at (x, 3, -2) the transform stores nu = -0.0 for x = +0.0, where nu^2
+    # snaps to 0; a zero coordinate keeps its sign, so every radical factor
+    # there has the sign it has at x slightly > 0
     xs = (-1e-7, -1e-9, -0.0, 0.0, 1e-9, 1e-7)
     for n in range(5):
         for p in range(1, 2 * n + 2):
@@ -706,3 +713,34 @@ def test_interior_solids_are_continuous_across_x_0_below_z_0(sys_fig3):
             values = [interior_solid(sys_fig3, idx, cart_to_ell(sys_fig3, x, 3.0, -2.0))
                       for x in xs]
             assert max(values) - min(values) <= 1e-3 * scale, (n, p, values)
+
+
+SCALE = 1e-7
+
+
+@pytest.fixture(scope="module")
+def sys_fig3_small():
+    return new_system(15.0 * SCALE, 12.0 * SCALE, 10.0 * SCALE)
+
+
+def test_interior_solids_at_a_length_scale_of_1e_7_are_the_scaled_unit_values(
+        sys_fig3, sys_fig3_small):
+    # E3 of degree n scales as s^(3n); while nu^2 snapped to 0 off x = 0 the
+    # point's nu read 0 here and E3 was off by up to x190 (measured: 2.5e-13)
+    unit = cart_to_ell(sys_fig3, 3.0, 4.0, 5.0)
+    small = cart_to_ell(sys_fig3_small, 3.0 * SCALE, 4.0 * SCALE, 5.0 * SCALE)
+    for n in range(9):
+        for p in range(1, 2 * n + 2):
+            want = interior_solid(sys_fig3, HarmonicIndex(n, p), unit)
+            got = interior_solid(sys_fig3_small, HarmonicIndex(n, p), small) / SCALE ** (3 * n)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, p, got, want)
+
+
+def test_coulomb_expansion_at_a_length_scale_of_1e_7_is_the_scaled_unit_value(
+        sys_fig3, sys_fig3_small):
+    # 1/|r - r'| scales as 1/s; the snapped nu put it 16.5% off, with no
+    # error raised (measured: 8.3e-15)
+    want = coulomb_expand(sys_fig3, (3.0, 4.0, 5.0), (20.0, 1.0, 2.0), 8).value
+    got = coulomb_expand(sys_fig3_small, (3.0 * SCALE, 4.0 * SCALE, 5.0 * SCALE),
+                         (20.0 * SCALE, 1.0 * SCALE, 2.0 * SCALE), 8).value * SCALE
+    assert abs(got - want) <= 1e-13 * abs(want)

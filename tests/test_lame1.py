@@ -7,7 +7,8 @@ from scipy.special import ellip_harm
 
 from conftest import lame_reference
 from ellharm.coords import cart_to_ell, new_system
-from ellharm.errors import BranchPointDerivative, OrderOutOfRange
+from ellharm.errors import BranchPointDerivative, DegenerateEllipsoid, OrderOutOfRange
+from ellharm.harmonics import build_normalization_table
 from ellharm.lame1 import (LameClass, _horner, _padded, build_tridiagonal,
                            class_dim, class_of, eval_lame, eval_lame_condition,
                            eval_lame_derivative, eval_lame_second_derivative,
@@ -33,6 +34,21 @@ def test_class_of_rejects_bad_order():
         class_of(2, 6)
     with pytest.raises(OrderOutOfRange):
         class_of(2, 0)
+
+
+@pytest.mark.parametrize("tag, n, p_local, message", [
+    ("Q", 2, 0, "unknown class tag 'Q'"), ("K", 2, 2, "p_local=2 out of range"),
+    ("N", 1, 0, "p_local=0 out of range"), ("L", 3, -1, "p_local=-1 out of range")])
+def test_lame_class_rejects_unknown_tag_or_local_index(tag, n, p_local, message):
+    with pytest.raises(OrderOutOfRange, match=message):
+        LameClass(tag, n, p_local)
+
+
+def test_overflowing_class_eigenproblem_is_a_degenerate_ellipsoid():
+    # build_tridiagonal's entries scale with h^2 and k^2, so lower * upper
+    # overflows on semiaxes near 1e100
+    with pytest.raises(DegenerateEllipsoid, match="degree-2 Lame eigenproblem"):
+        build_normalization_table(new_system(1e100, 8e99, 6e99), 4)
 
 
 def test_constant_solution(sys215):
